@@ -12,32 +12,29 @@ verified and the monomial test supplies the final witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complements import minimal_complement, ComplementHypothesisError
+from .complements import ComplementHypothesisError, minimal_complement, verify_complement
 from .fedder import (
     FRegVerdict,
     P1Pair,
     fedder_exponents,
     is_globally_F_regular,
+    verdict_from_payload,
+    verdict_to_payload,
     verify_witness,
 )
 from .graphs import (
-    GraphError,
     LogPair,
     anti_nef_over_base,
-    canonical_dot,
     classify,
     diff_on_component,
     dot_against_exceptionals,
-    intersection_matrix,
-    pullback_coefficients,
-    _solve_linear,
+    solve_trivial_pairing,
 )
 from .padic import is_prime
-from .rationals import format_rational, is_standard, std_replace
+from .rationals import format_rational, parse_rational, std_replace
 
 
 class PipelineError(RuntimeError):
@@ -244,19 +241,8 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
         )
     gp = set(gamma_prime)
     b2 = {v: (Fraction(0) if v in gp else Fraction(bc[v])) for v in graph.ids}
-    exc_gp = sorted(v for v in gamma_prime if graph.vertex(v).exceptional)
-    m = intersection_matrix(graph, exc_gp)
-    rhs = []
-    for j in exc_gp:
-        val = -Fraction(canonical_dot(graph, j)) - b2[j] * Fraction(graph.vertex(j).self_int)
-        for nbr, mult in graph.neighbors(j):
-            val -= b2[nbr] * mult
-        rhs.append(val)
-    solved = dict(zip(exc_gp, _solve_linear(m, rhs))) if exc_gp else {}
-
-    bsharp = dict(b2)
-    for v, val in solved.items():
-        bsharp[v] = val
+    exc_gp = [v for v in gamma_prime if graph.vertex(v).exceptional]
+    bsharp = {**b2, **solve_trivial_pairing(graph, b2, exc_gp)}
     dots = dot_against_exceptionals(graph, bsharp)
     if not anti_nef_over_base(dots):
         bad = sorted(j for j, v in dots.items() if v > 0)
@@ -281,12 +267,12 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
                     "epsilon", "structure", f"coefficient at {v!r} cannot grow past 1"
                 )
             bounds.append(room / d)
-    b0 = pullback_coefficients(pair.with_coeff(bc)).b
-    try:
-        b1 = pullback_coefficients(pair.with_coeff(bsharp)).b
-    except GraphError as exc:
-        raise PipelineError("epsilon", "structure", str(exc))
-    for j in graph.exceptional_ids:
+    # Bsharp may leave [0, 1] and is no boundary, so the slopes of the
+    # solved b come straight from the trivial-pairing solve.
+    exc = graph.exceptional_ids
+    b0 = solve_trivial_pairing(graph, bc, exc)
+    b1 = solve_trivial_pairing(graph, bsharp, exc)
+    for j in exc:
         slope = b1[j] - b0[j]
         if b0[j] >= 1:
             if b0[j] > 1 or slope >= 0:
@@ -365,29 +351,10 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         raise PipelineError(
             "hypotheses", "hypothesis", f"characteristic must be a prime > 5, got {p}"
         )
-    failures = []
-    try:
-        cls = classify(pair)
-        if not cls.is_klt:
-            failures.append(f"pair classifies {cls.label}, not klt")
-    except GraphError as exc:
-        raise PipelineError("hypotheses", "hypothesis", str(exc))
-    nonstd = sorted(v for v, c in pair.coeff.items() if not is_standard(c))
-    if nonstd:
-        failures.append(
-            "non-standard coefficients at "
-            + ", ".join(f"{v}={format_rational(pair.coeff[v])}" for v in nonstd)
-        )
-    dots = dot_against_exceptionals(pair.graph, pair.coeff)
-    if not anti_nef_over_base(dots):
-        failures.append("-(K+B) is not nef over the base")
-    if failures:
-        raise PipelineError("hypotheses", "hypothesis", "; ".join(failures))
-
     try:
         comp = minimal_complement(pair)
     except ComplementHypothesisError as exc:
-        raise PipelineError("complement", "hypothesis", str(exc))
+        raise PipelineError("hypotheses", "hypothesis", "; ".join(exc.failures))
     if comp is None:
         raise PipelineError(
             "complement",
@@ -458,20 +425,6 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
 
 def certificate_to_payload(cert: GfrCertificate) -> dict:
     """JSON-ready form; `certificate_from_payload` restores the certificate."""
-    fv = cert.fedder
-    fedder_payload = {"status": fv.status, "toric": fv.toric}
-    if fv.certificate is not None:
-        fc = fv.certificate
-        fedder_payload["certificate"] = {
-            "p": fc.p,
-            "e": fc.e,
-            "a": list(fc.a),
-            "witness": list(fc.witness),
-        }
-    if fv.reason:
-        fedder_payload["reason"] = fv.reason
-    if fv.e_tried is not None:
-        fedder_payload["e_max_tried"] = fv.e_tried
     return {
         "case": cert.case,
         "level": cert.level,
@@ -483,30 +436,13 @@ def certificate_to_payload(cert: GfrCertificate) -> dict:
         "epsilon": format_rational(cert.epsilon) if cert.epsilon is not None else None,
         "diff": [format_rational(v) for v in cert.diff],
         "diff_anchors": [[list(a), format_rational(v)] for a, v in cert.diff_anchors],
-        "fedder": fedder_payload,
+        "fedder": verdict_to_payload(cert.fedder),
         "p": cert.prime,
         "e_max": cert.e_max,
     }
 
 
 def certificate_from_payload(payload: dict) -> GfrCertificate:
-    from .fedder import FRegCertificate
-    from .rationals import parse_rational
-
-    fp = payload["fedder"]
-    fc = None
-    if "certificate" in fp:
-        c = fp["certificate"]
-        fc = FRegCertificate(
-            p=c["p"], e=c["e"], a=tuple(c["a"]), witness=tuple(c["witness"])
-        )
-    verdict = FRegVerdict(
-        status=fp["status"],
-        certificate=fc,
-        reason=fp.get("reason"),
-        e_tried=fp.get("e_max_tried"),
-        toric=fp.get("toric", False),
-    )
     eps = payload.get("epsilon")
     return GfrCertificate(
         case=payload["case"],
@@ -521,7 +457,7 @@ def certificate_from_payload(payload: dict) -> GfrCertificate:
         diff_anchors=tuple(
             (tuple(a), parse_rational(v)) for a, v in payload["diff_anchors"]
         ),
-        fedder=verdict,
+        fedder=verdict_from_payload(payload["fedder"]),
         prime=payload["p"],
         e_max=payload["e_max"],
     )
@@ -533,31 +469,20 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     Returns the list of discrepancies (empty means the certificate stands).
     No state from the construction phase is reused.
     """
-    problems = []
     graph = pair.graph
     b = pair.coeff
     bc = cert.bc
     bs = cert.bstar
 
-    if cert.level not in (1, 2, 3, 4, 6):
-        problems.append(f"level {cert.level} outside {{1,2,3,4,6}}")
     if set(bc) != set(graph.ids) or set(bs) != set(graph.ids):
-        return problems + ["coefficient vectors do not cover the graph"]
-    for v in graph.ids:
-        if not Fraction(bc[v]) >= b[v]:
-            problems.append(f"Bc < B at {v}")
-        if (cert.level * Fraction(bc[v])).denominator != 1:
-            problems.append(f"level * Bc not integral at {v}")
-        if cert.level * Fraction(bc[v]) < math.floor((cert.level + 1) * b[v]):
-            problems.append(f"floor bound fails at {v}")
-    dots = dot_against_exceptionals(graph, bc)
-    if any(val != 0 for val in dots.values()):
-        problems.append("K + Bc is not numerically trivial on the exceptional locus")
-    cls_bc = classify(pair.with_coeff(bc))
-    if not (cls_bc.is_lc and not cls_bc.is_klt):
-        problems.append(f"pair with Bc classifies {cls_bc.label}, need lc not klt")
-    if (cert.case == "plt") != cls_bc.is_plt:
-        problems.append("recorded case disagrees with the classification")
+        return ["coefficient vectors do not cover the graph"]
+    report = verify_complement(pair, bc, cert.level)
+    problems = list(report.details)
+    # A failed lc_not_klt check already rejects the certificate, and its Bc
+    # may then lie outside [0, 1], where classify cannot take it.
+    if report.checks["lc_not_klt"]:
+        if (cert.case == "plt") != classify(pair.with_coeff(bc)).is_plt:
+            problems.append("recorded case disagrees with the classification")
 
     if Fraction(bc[cert.center]) != 1 or Fraction(bs[cert.center]) != 1:
         problems.append("center does not carry coefficient 1")
@@ -575,15 +500,23 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
         problems.append("recorded different disagrees with the recomputation")
     nonzero = [val for val in values if val != 0]
     verdict = cert.fedder
+    if not (is_prime(cert.prime) and cert.prime > 5):
+        problems.append(f"characteristic {cert.prime} is not a prime > 5")
     if not verdict.is_regular:
         problems.append("stored verdict is not regular")
     elif verdict.certificate is not None:
         fc = verdict.certificate
-        p1 = P1Pair.from_coeffs(nonzero)
-        if fedder_exponents(p1, fc.p, fc.e) != fc.a:
-            problems.append("stored exponents disagree with the different")
-        if not verify_witness(fc.a, fc.witness[0], fc.witness[1], fc.p, fc.e):
-            problems.append("stored witness monomial fails verification")
+        if fc.p != cert.prime or not 1 <= fc.e <= cert.e_max:
+            problems.append(
+                f"stored witness is for p={fc.p}, e={fc.e}; "
+                f"the certificate claims p={cert.prime}, e <= {cert.e_max}"
+            )
+        else:
+            p1 = P1Pair.from_coeffs(nonzero)
+            if fedder_exponents(p1, fc.p, fc.e) != fc.a:
+                problems.append("stored exponents disagree with the different")
+            if not verify_witness(fc.a, fc.witness[0], fc.witness[1], fc.p, fc.e):
+                problems.append("stored witness monomial fails verification")
     else:
         if len(nonzero) > 2:
             problems.append("toric verdict with more than two marked points")

@@ -14,7 +14,7 @@ import sys
 from . import bstar as bstar_mod
 from . import complements as comp_mod
 from .dgf import GermFile, ParseError, parse_germ
-from .fedder import P1Pair, hara_table, is_globally_F_regular
+from .fedder import P1Pair, hara_table, is_globally_F_regular, verdict_to_payload
 from .graphs import (
     GraphError,
     classify,
@@ -71,24 +71,6 @@ def _verdict_text(verdict) -> str:
     if verdict.status == "not_regular":
         return f"not regular ({verdict.reason})"
     return f"inconclusive (no witness up to e={verdict.e_tried})"
-
-
-def _verdict_payload(verdict) -> dict:
-    out = {"status": verdict.status}
-    if verdict.certificate is not None:
-        c = verdict.certificate
-        out["certificate"] = {
-            "p": c.p,
-            "e": c.e,
-            "a": list(c.a),
-            "witness": list(c.witness),
-        }
-    if verdict.reason:
-        out["reason"] = verdict.reason
-    if verdict.e_tried is not None:
-        out["e_max_tried"] = verdict.e_tried
-    out["toric"] = verdict.toric
-    return out
 
 
 def _cmd_classify(args) -> tuple[str, int]:
@@ -229,7 +211,7 @@ def _cmd_fregular(args) -> tuple[str, int]:
     for p in sorted(set(primes)):
         verdict = is_globally_F_regular(pair, p, args.e_max)
         lines.append(f"p={p}: {_verdict_text(verdict)}")
-        results.append({"p": p, **_verdict_payload(verdict)})
+        results.append({"p": p, **verdict_to_payload(verdict)})
         if verdict.status == "not_regular":
             worst = max(worst, EXIT_NEGATIVE)
         elif verdict.status == "inconclusive":

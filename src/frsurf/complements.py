@@ -22,9 +22,7 @@ from .graphs import (
     classify,
     dot_against_exceptionals,
     format_rational,
-    intersection_matrix,
-    _solve_linear,
-    canonical_dot,
+    solve_trivial_pairing,
     GraphError,
 )
 from .rationals import is_standard
@@ -136,25 +134,10 @@ def _require_hypotheses(pair: LogPair) -> None:
         raise ComplementHypothesisError(failures)
 
 
-def _solve_exceptional(graph, nonexc_coeffs):
-    """Coefficients on exceptional curves forced by trivial pairing."""
-    exc = graph.exceptional_ids
-    if not exc:
-        return {}
-    m = intersection_matrix(graph, exc)
-    rhs = []
-    for j in exc:
-        val = -Fraction(canonical_dot(graph, j))
-        for nbr, mult in graph.neighbors(j):
-            if not graph.vertex(nbr).exceptional:
-                val -= Fraction(nonexc_coeffs[nbr]) * mult
-        rhs.append(val)
-    return dict(zip(exc, _solve_linear(m, rhs)))
-
-
 def _search(pair: LogPair, level: int) -> ComplementCertificate | None:
     graph = pair.graph
     b = pair.coeff
+    exc = graph.exceptional_ids
     nonexc = [v for v in graph.ids if not graph.vertex(v).exceptional]
     choices = []
     for v in nonexc:
@@ -162,7 +145,7 @@ def _search(pair: LogPair, level: int) -> ComplementCertificate | None:
         choices.append([Fraction(m, level) for m in range(m_min, level + 1)])
     for combo in itertools.product(*choices):
         assignment = dict(zip(nonexc, combo))
-        solved = _solve_exceptional(graph, assignment)
+        solved = solve_trivial_pairing(graph, assignment, exc)
         if any(not 0 <= val <= 1 for val in solved.values()):
             continue
         bc = {**assignment, **solved}

@@ -4,7 +4,7 @@ Grammar (one declaration per line, '#' starts a comment):
 
     curve <id> self=<int> exceptional=<yes|no> [coeff=<q>] [genus=<int>]
     meet <id> <id> <positive int>
-    boundary <name> <id>=<q> [<id>=<q> ...]
+    boundary <name> [<id>=<q> ...]
     prime <p> [<p> ...]
 
 Coefficients are exact fractions ("1/2", "1", never "0.5") in [0, 1].
@@ -123,8 +123,8 @@ def parse_germ(text: str) -> GermFile:
             edge_lines[key] = lineno
             edges.append((u, w, mult))
         elif kind == "boundary":
-            if len(tokens) < 3:
-                raise ParseError(lineno, "boundary needs a name and at least one id=<q>")
+            if len(tokens) < 2:
+                raise ParseError(lineno, "boundary needs a name")
             name = tokens[1]
             if name in boundaries:
                 raise ParseError(lineno, f"duplicate boundary {name!r}")
@@ -181,10 +181,8 @@ def render_germ(germ: GermFile) -> str:
         lines.append(f"meet {u} {w} {mult}")
     for name in sorted(germ.boundaries):
         vec = germ.boundaries[name]
-        entries = " ".join(
-            f"{vid}={format_rational(vec[vid])}" for vid in sorted(vec) if vec[vid] != 0
-        )
-        lines.append(f"boundary {name} {entries}")
+        entries = [f"{vid}={format_rational(vec[vid])}" for vid in sorted(vec) if vec[vid] != 0]
+        lines.append(" ".join(["boundary", name, *entries]))
     if germ.primes:
         lines.append("prime " + " ".join(str(p) for p in germ.primes))
     return "\n".join(lines) + "\n"

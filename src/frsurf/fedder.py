@@ -79,6 +79,32 @@ class FRegVerdict:
         return self.status == REGULAR
 
 
+def verdict_to_payload(verdict: FRegVerdict) -> dict:
+    """JSON-ready form; `verdict_from_payload` restores the verdict."""
+    out = {"status": verdict.status, "toric": verdict.toric}
+    if verdict.certificate is not None:
+        c = verdict.certificate
+        out["certificate"] = {"p": c.p, "e": c.e, "a": list(c.a), "witness": list(c.witness)}
+    if verdict.reason:
+        out["reason"] = verdict.reason
+    if verdict.e_tried is not None:
+        out["e_max_tried"] = verdict.e_tried
+    return out
+
+
+def verdict_from_payload(payload: dict) -> FRegVerdict:
+    c = payload.get("certificate")
+    if c is not None:
+        c = FRegCertificate(p=c["p"], e=c["e"], a=tuple(c["a"]), witness=tuple(c["witness"]))
+    return FRegVerdict(
+        status=payload["status"],
+        certificate=c,
+        reason=payload.get("reason"),
+        e_tried=payload.get("e_max_tried"),
+        toric=payload.get("toric", False),
+    )
+
+
 def fedder_exponents(pair: P1Pair, p: int, e: int) -> tuple[int, int, int]:
     """The exponents a_i = ceil((p^e - 1) c_i)."""
     require_prime(p)

@@ -212,6 +212,30 @@ def _solve_linear(matrix, rhs) -> list[Fraction]:
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
+def solve_trivial_pairing(
+    graph: DualGraph, coeff: Mapping[str, Fraction], unknowns: Iterable[str]
+) -> dict[str, Fraction]:
+    """Coefficients on the exceptional curves `unknowns` that make
+    (K + sum coeff(v) C_v) . E_j = 0 for every E_j in `unknowns`.
+
+    `coeff` is held fixed on every other vertex (a missing vertex counts as
+    0); its values may lie outside [0, 1], and its values on `unknowns` are
+    ignored.  The system's matrix is the pairing matrix on `unknowns`.
+    """
+    unknowns = tuple(sorted(unknowns))
+    if not unknowns:
+        return {}
+    solving = set(unknowns)
+    rhs = []
+    for j in unknowns:
+        val = -Fraction(canonical_dot(graph, j))
+        for nbr, mult in graph.neighbors(j):
+            if nbr not in solving:
+                val -= coeff.get(nbr, 0) * mult
+        rhs.append(val)
+    return dict(zip(unknowns, _solve_linear(intersection_matrix(graph, unknowns), rhs)))
+
+
 def pullback_coefficients(pair: LogPair) -> PullbackSolution:
     """Solve (K + sum b_i E_i + non-exceptional boundary) . E_j = 0 for all j.
 
@@ -220,20 +244,11 @@ def pullback_coefficients(pair: LogPair) -> PullbackSolution:
     """
     graph = pair.graph
     exc = graph.exceptional_ids
-    m = intersection_matrix(graph, exc)
-    if not is_negative_definite(m):
+    if not is_negative_definite(intersection_matrix(graph, exc)):
         raise NotNegativeDefiniteError(
             "exceptional intersection lattice is not negative definite"
         )
-    rhs = []
-    for j in exc:
-        val = -Fraction(canonical_dot(graph, j))
-        for nbr, mult in graph.neighbors(j):
-            if not graph.vertex(nbr).exceptional:
-                val -= pair.coeff[nbr] * mult
-        rhs.append(val)
-    sol = _solve_linear(m, rhs) if exc else []
-    b = dict(zip(exc, sol))
+    b = solve_trivial_pairing(graph, pair.coeff, exc)
     return PullbackSolution(b=b, a={k: -v for k, v in b.items()})
 
 
@@ -250,22 +265,25 @@ def classify(pair: LogPair) -> Classification:
     sol = pullback_coefficients(pair)
     b = sol.b
     coeff = pair.coeff
+    edges = graph.edges()
     ones = {v for v, c in coeff.items() if c == 1}
-    ones_adjacent = any(
-        u in ones and w in ones for (u, w, _m) in graph.edges()
-    )
+    ones_adjacent = any(u in ones and w in ones for (u, w, _m) in edges)
     coeff_lt1 = all(c < 1 for c in coeff.values())
     all_b_neg = all(v < 0 for v in b.values())
     all_b_le0 = all(v <= 0 for v in b.values())
     all_b_lt1 = all(v < 1 for v in b.values())
     all_b_le1 = all(v <= 1 for v in b.values())
     plt_b_ok = all(v < 1 or (v == 1 and coeff[j] == 1) for j, v in b.items())
-    point_mult_ok = all(
-        coeff[u] + coeff[w] < 1 for (u, w, _m) in graph.edges()
+    point_mult_ok = all(coeff[u] + coeff[w] < 1 for (u, w, _m) in edges)
+    # Blowing up a crossing of two non-exceptional curves gives discrepancy
+    # 1 - c_u - c_w; a crossing on an exceptional curve with b <= 0 gives
+    # at least 1 - c >= 0.
+    crossings_ok = all(
+        coeff[u] + coeff[w] <= 1 for (u, w, _m) in edges if u not in b and w not in b
     )
 
     is_terminal = all_b_neg and coeff_lt1 and point_mult_ok
-    is_canonical = all_b_le0
+    is_canonical = all_b_le0 and crossings_ok
     is_klt = all_b_lt1 and coeff_lt1
     is_plt = plt_b_ok and all_b_le1 and not ones_adjacent
     is_lc = all_b_le1
@@ -353,10 +371,6 @@ def dot_against_exceptionals(
                 val += c * mult
         out[j] = val
     return out
-
-
-def nef_over_base(dots: Mapping[str, Fraction]) -> bool:
-    return all(v >= 0 for v in dots.values())
 
 
 def anti_nef_over_base(dots: Mapping[str, Fraction]) -> bool:

@@ -240,10 +240,15 @@ def test_criterion_8_bstar_pipeline_corpus():
             try:
                 cert = bstar_mod.gfr_certificate(pair, p, e_max=6)
             except bstar_mod.PipelineError as err:
-                # absent complements and out-of-regime shapes are honest
-                # negatives; an inconclusive monomial test is not acceptable
-                # on this corpus
-                assert err.kind != "inconclusive", (pair.coeff, p, str(err))
+                # an absent complement is the only honest negative on this
+                # corpus: every germ meets the hypotheses, and neither a
+                # structural failure nor an inconclusive monomial test is
+                # acceptable
+                assert (err.stage, err.kind) == ("complement", "search"), (
+                    pair.coeff,
+                    p,
+                    str(err),
+                )
                 continue
             produced += 1
             graph = pair.graph

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,7 @@ from frsurf.corpus import (
     plt_fork_level4,
     plt_fork_level6,
 )
+from frsurf.dgf import parse_germ
 from frsurf.graphs import (
     DualGraph,
     LogPair,
@@ -164,6 +166,30 @@ def test_nonplt_construction_line():
     assert classify(pair.with_coeff(surgery.bstar)).is_plt
 
 
+def test_nonplt_bsharp_outside_unit_interval():
+    # random_corpus(20240817, ...)[91]: Bc = 1 everywhere, and Bsharp is
+    # -1/2 on E2, which is no boundary but still fixes the epsilon slopes
+    pair = parse_germ(
+        """\
+curve E1 self=-3 exceptional=yes coeff=5/6
+curve E2 self=-1 exceptional=yes coeff=0
+curve L1 self=0 exceptional=no coeff=0
+curve L2 self=0 exceptional=no coeff=3/4
+meet E1 E2 1
+meet E1 L2 1
+meet E2 L1 1
+"""
+    ).pair()
+    cert = minimal_complement(pair)
+    assert cert.level == 1 and not cert.plt_case
+    surgery = construct_bstar_nonplt(pair, cert.coeffs)
+    assert surgery.bsharp["E2"] == F(-1, 2)
+    assert classify(pair.with_coeff(surgery.bstar)).is_plt
+    full = gfr_certificate(pair, 7)
+    assert (full.case, full.level) == ("non_plt", 1)
+    assert reverify_certificate(pair, full) == []
+
+
 def test_verify_pfreg_clauses():
     pair = plt_fork_level3()
     cert = minimal_complement(pair)
@@ -239,6 +265,22 @@ def test_reverify_detects_tampering():
         e_max=cert.e_max,
     )
     assert reverify_certificate(pair, tampered) != []
+    # a witness must be for the certificate's own prime and within e_max
+    other = gfr_certificate(pair, 11, e_max=6)
+    assert other.fedder.certificate.p == 11
+    for field, value in (
+        ("fedder", other.fedder),
+        ("prime", 13),
+        ("prime", 9),
+        ("e_max", 0),
+        ("e_max", cert.fedder.certificate.e - 1),
+    ):
+        mutated = dataclasses.replace(cert, **{field: value})
+        assert reverify_certificate(pair, mutated) != [], (field, value)
+    # a toric verdict carries no prime of its own; the certificate's must be valid
+    toric = gfr_certificate(a1_tail(), 7)
+    assert toric.fedder.toric
+    assert reverify_certificate(a1_tail(), dataclasses.replace(toric, prime=9)) != []
 
 
 def test_certificate_serialization_round_trip():

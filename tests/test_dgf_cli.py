@@ -32,6 +32,13 @@ def test_parse_round_trip():
     assert germ.primes == [7, 11]
     canonical = render_germ(germ)
     assert render_germ(parse_germ(canonical)) == canonical
+    # a named boundary that is zero everywhere renders with no entries
+    zero = parse_germ(A1_TAIL + "boundary z E=0\n")
+    assert zero.boundaries == {"z": {"E": 0}}
+    canonical = render_germ(zero)
+    assert "boundary z\n" in canonical
+    assert render_germ(parse_germ(canonical)) == canonical
+    assert parse_germ(canonical).pair("z").coeff == {"E": 0, "L": 0}
 
 
 def test_parse_errors_carry_line_numbers():

@@ -22,6 +22,7 @@ from frsurf.graphs import (
     intersection_matrix,
     is_negative_definite,
     pullback_coefficients,
+    solve_trivial_pairing,
     terminalization_support,
 )
 
@@ -153,6 +154,18 @@ def test_pullback_substitution_yields_zero():
     dots = dot_against_exceptionals(g, {**{"L": F(1)}, **sol.b})
     assert all(v == 0 for v in dots.values())
 
+    # a strict subset of the exceptional curves is solved, the rest held fixed
+    g2 = DualGraph(
+        [Vertex("A", -2, True), Vertex("B", -3, True), Vertex("C", -2, True), Vertex("L", 0, False)],
+        [("A", "B", 1), ("B", "C", 1), ("C", "L", 1)],
+    )
+    # and a fixed coefficient outside [0, 1], as the non-plt surgery's Bsharp has
+    for coeff in ({"A": F(1, 2), "L": F(2, 3)}, {"A": F(-1, 2), "L": F(3, 2)}):
+        solved = solve_trivial_pairing(g2, coeff, ["C", "B"])
+        assert set(solved) == {"B", "C"}
+        dots = dot_against_exceptionals(g2, {**coeff, **solved})
+        assert dots["B"] == 0 and dots["C"] == 0
+
 
 def test_pullback_rejects_degenerate_lattice():
     g = DualGraph(
@@ -171,6 +184,13 @@ def test_classify_examples():
     assert cls.b["E"] == F(1, 2)
     assert cls.is_plt and cls.is_lc and not cls.is_klt
     assert cls.lc_centers == ("L",)
+    # blowing up the crossing of A and B gives discrepancy 1 - 2/3 - 2/3 < 0
+    crossing = DualGraph(
+        [Vertex("E", -2, True), Vertex("A", 0, False), Vertex("B", 0, False)], [("A", "B", 1)]
+    )
+    cls = classify(LogPair(crossing, {"A": F(2, 3), "B": F(2, 3)}))
+    assert not cls.is_canonical and cls.label == "klt"
+    assert classify(LogPair(crossing, {"A": F(1, 3), "B": F(2, 3)})).label == "canonical"
 
 
 def test_classify_lc_and_not_lc():
