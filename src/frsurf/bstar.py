@@ -4,10 +4,12 @@ From a klt pair with standard coefficients and -(K+B) nef over the base the
 pipeline produces a checkable certificate chain: minimal complement Bc,
 chain extraction, the coefficient surgery that replaces m/N by (m-1)/(N-1)
 along a non-exceptional chain (plt case with an exceptional center) or the
-convex mix with the trivial-pairing solution (non-plt case), then the three
-hypotheses -- anti-nefness of K + B*, the sandwich Bc >= B* >= B with
-(graph, B*) plt, and F-regularity of the different on the center -- are
-verified and the monomial test supplies the final witness.
+convex mix with the trivial-pairing solution (non-plt case), then the
+different of B* along the center and its monomial witness (`verify_pfreg`,
+clause (3)).  `reverify_certificate` is the one definition of a valid
+certificate: it checks the complement, anti-nefness of K + B*, the sandwich
+Bc >= B* >= B, plt-ness of (graph, B*), the different and the witness, and
+`gfr_certificate` returns only certificates it accepts.
 """
 
 from __future__ import annotations
@@ -53,19 +55,6 @@ class NonPltSurgery:
     bsharp: dict[str, Fraction]
     bstar: dict[str, Fraction]
     epsilon: Fraction
-    epsilon_max: Fraction
-
-
-@dataclass(frozen=True)
-class PfregReport:
-    clauses: dict[str, bool]
-    anchors: tuple
-    values: tuple[Fraction, ...]
-    verdict: FRegVerdict
-
-    @property
-    def passed(self) -> bool:
-        return all(self.clauses.values())
 
 
 @dataclass(frozen=True)
@@ -227,7 +216,9 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
     Bsharp from the solution (zero on its non-exceptional part), checks
     K + Bsharp pairs nonpositively with every exceptional curve, and mixes
     B* = (1-eps) Bc + eps Bsharp at eps = eps_max / 2, where eps_max is the
-    exact largest value keeping B* >= B componentwise and (graph, B*) plt.
+    exact largest value keeping B* >= B componentwise, its coefficients
+    <= 1 and the solved exceptional coefficients < 1.  Plt-ness of
+    (graph, B*) is left to `reverify_certificate`.
     """
     graph = pair.graph
     b = pair.coeff
@@ -288,43 +279,26 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
         raise PipelineError("epsilon", "structure", "no room for a positive mix")
     eps = eps_max / 2
     bstar = {v: Fraction(bc[v]) + eps * direction[v] for v in graph.ids}
-    cls = classify(pair.with_coeff(bstar))
-    if not cls.is_plt:
-        raise PipelineError(
-            "epsilon",
-            "structure",
-            f"mixed boundary classifies {cls.label}, not plt, at eps={eps}",
-        )
     return NonPltSurgery(
         center=center,
         gamma_prime=gamma_prime,
         bsharp=bsharp,
         bstar=bstar,
         epsilon=eps,
-        epsilon_max=eps_max,
     )
 
 
-def verify_pfreg(pair: LogPair, bc, bstar, center: str, p: int, e_max: int) -> PfregReport:
-    """The three certificate clauses, each checked independently.
+def verify_pfreg(
+    pair: LogPair, bstar, center: str, p: int, e_max: int
+) -> tuple[tuple, FRegVerdict]:
+    """Clause (3): the different of B* along the center and its F-regularity.
 
-    (1) K + B* pairs nonpositively with every exceptional curve and
-        Bc >= B* >= B componentwise; (2) (graph, B*) is plt; (3) the
-        different of B* along the center is globally F-regular.
+    Returns ``(anchors, verdict)``.  Clauses (1) and (2) -- K + B* anti-nef
+    over the base, Bc >= B* >= B, and (graph, B*) plt -- are checked by
+    `reverify_certificate`.
     """
-    graph = pair.graph
-    b = pair.coeff
-    clauses: dict[str, bool] = {}
-    dots = dot_against_exceptionals(graph, bstar)
-    sandwich = all(
-        Fraction(bc[v]) >= Fraction(bstar[v]) >= b[v] for v in graph.ids
-    )
-    clauses["nef_and_sandwich"] = anti_nef_over_base(dots) and sandwich
-    spair = pair.with_coeff(bstar)
-    clauses["plt"] = classify(spair).is_plt
-    anchors = diff_on_component(spair, center)
-    values = tuple(val for _a, val in anchors)
-    nonzero = [val for val in values if val != 0]
+    anchors = tuple(diff_on_component(pair.with_coeff(bstar), center))
+    nonzero = [val for _a, val in anchors if val != 0]
     if len(nonzero) > 3:
         raise PipelineError(
             "different",
@@ -338,15 +312,14 @@ def verify_pfreg(pair: LogPair, bc, bstar, center: str, p: int, e_max: int) -> P
             "structure",
             f"anchor coefficient >= 1 at {center!r}: the mixed boundary is not plt there",
         )
-    verdict = is_globally_F_regular(P1Pair.from_coeffs(nonzero), p, e_max)
-    clauses["f_regular"] = verdict.is_regular
-    return PfregReport(
-        clauses=clauses, anchors=tuple(anchors), values=values, verdict=verdict
-    )
+    return anchors, is_globally_F_regular(P1Pair.from_coeffs(nonzero), p, e_max)
 
 
 def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
-    """Run the full pipeline; every failure raises a staged diagnostic."""
+    """Run the full pipeline; every failure raises a staged diagnostic.
+
+    The certificate is returned only when `reverify_certificate` accepts it.
+    """
     if not (isinstance(p, int) and is_prime(p) and p > 5):
         raise PipelineError(
             "hypotheses", "hypothesis", f"characteristic must be a prime > 5, got {p}"
@@ -378,8 +351,8 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
             bstar = construct_bstar_plt(bc, level, gamma0)
         else:
             # The center survives as a curve germ: the complement itself
-            # already satisfies all three clauses (its anchors stay < 1 by
-            # plt-ness), so no surgery is needed.
+            # already satisfies clauses (1) and (2) (its anchors stay < 1
+            # by plt-ness), so no surgery is needed.
             gamma0 = ()
             bstar = {v: Fraction(c) for v, c in bc.items()}
         case = "plt"
@@ -394,19 +367,8 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         epsilon = surgery.epsilon
         case = "non_plt"
 
-    report = verify_pfreg(pair, bc, bstar, center, p, e_max)
-    if not report.passed:
-        failed = sorted(name for name, ok in report.clauses.items() if not ok)
-        if failed == ["f_regular"] and report.verdict.status == "inconclusive":
-            raise PipelineError(
-                "fedder",
-                "inconclusive",
-                f"monomial test exhausted e <= {e_max} at p = {p}",
-            )
-        raise PipelineError(
-            "pfreg", "structure", "failed clauses: " + ", ".join(failed)
-        )
-    return GfrCertificate(
+    anchors, verdict = verify_pfreg(pair, bstar, center, p, e_max)
+    cert = GfrCertificate(
         case=case,
         level=level,
         center=center,
@@ -415,12 +377,22 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         bc={v: Fraction(c) for v, c in bc.items()},
         bstar={v: Fraction(c) for v, c in bstar.items()},
         epsilon=epsilon,
-        diff=report.values,
-        diff_anchors=report.anchors,
-        fedder=report.verdict,
+        diff=tuple(val for _a, val in anchors),
+        diff_anchors=anchors,
+        fedder=verdict,
         prime=p,
         e_max=e_max,
     )
+    problems = reverify_certificate(pair, cert)
+    if problems == ["stored verdict is not regular"] and verdict.status == "inconclusive":
+        raise PipelineError(
+            "fedder",
+            "inconclusive",
+            f"monomial test exhausted e <= {e_max} at p = {p}",
+        )
+    if problems:
+        raise PipelineError("pfreg", "structure", "; ".join(problems))
+    return cert
 
 
 def certificate_to_payload(cert: GfrCertificate) -> dict:
@@ -476,16 +448,19 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
 
     if set(bc) != set(graph.ids) or set(bs) != set(graph.ids):
         return ["coefficient vectors do not cover the graph"]
+    if cert.center not in bc:
+        return [f"center {cert.center!r} is not a vertex of the graph"]
+    outside = sorted(v for v in graph.ids if not 0 <= Fraction(bs[v]) <= 1)
+    if outside:
+        return ["B* leaves [0, 1] at " + ", ".join(outside)]
+    if Fraction(bc[cert.center]) != 1 or Fraction(bs[cert.center]) != 1:
+        return ["center does not carry coefficient 1"]
     report = verify_complement(pair, bc, cert.level)
     problems = list(report.details)
-    # A failed lc_not_klt check already rejects the certificate, and its Bc
-    # may then lie outside [0, 1], where classify cannot take it.
-    if report.checks["lc_not_klt"]:
-        if (cert.case == "plt") != classify(pair.with_coeff(bc)).is_plt:
-            problems.append("recorded case disagrees with the classification")
+    # A failed lc_not_klt check already rejects the certificate.
+    if report.checks["lc_not_klt"] and (cert.case == "plt") != report.classification.is_plt:
+        problems.append("recorded case disagrees with the classification")
 
-    if Fraction(bc[cert.center]) != 1 or Fraction(bs[cert.center]) != 1:
-        problems.append("center does not carry coefficient 1")
     if not anti_nef_over_base(dot_against_exceptionals(graph, bs)):
         problems.append("K + B* pairs positively against some exceptional curve")
     for v in graph.ids:

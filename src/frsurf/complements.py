@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
+    Classification,
     LogPair,
     anti_nef_over_base,
     classify,
@@ -49,6 +50,7 @@ class ComplementHypothesisError(ValueError):
 class ComplementReport:
     checks: dict[str, bool]
     details: tuple[str, ...]
+    classification: Classification | None  # None when classify raised
 
     @property
     def passed(self) -> bool:
@@ -98,6 +100,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
         if not checks["lc_not_klt"]:
             details.append(f"pair with Bc classifies {cls.label}, need lc but not klt")
     except GraphError as exc:
+        cls = None
         checks["lc_not_klt"] = False
         details.append(f"classification failed: {exc}")
 
@@ -108,7 +111,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
             f"{level}*Bc < floor({level + 1}*B) at " + ", ".join(bad)
         )
 
-    return ComplementReport(checks=checks, details=tuple(details))
+    return ComplementReport(checks=checks, details=tuple(details), classification=cls)
 
 
 def _require_hypotheses(pair: LogPair) -> None:
@@ -151,8 +154,9 @@ def _search(pair: LogPair, level: int) -> ComplementCertificate | None:
         bc = {**assignment, **solved}
         report = verify_complement(pair, bc, level)
         if report.passed:
-            plt_case = classify(pair.with_coeff(bc)).is_plt
-            return ComplementCertificate(level=level, coeffs=bc, plt_case=plt_case)
+            return ComplementCertificate(
+                level=level, coeffs=bc, plt_case=report.classification.is_plt
+            )
     return None
 
 

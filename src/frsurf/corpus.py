@@ -14,15 +14,7 @@ import random
 from fractions import Fraction
 
 from .complements import ComplementHypothesisError, _require_hypotheses
-from .graphs import (
-    DualGraph,
-    GraphError,
-    LogPair,
-    NotNegativeDefiniteError,
-    Vertex,
-    intersection_matrix,
-    is_negative_definite,
-)
+from .graphs import DualGraph, GraphError, LogPair, Vertex
 
 F = Fraction
 
@@ -289,12 +281,9 @@ def _random_candidate(rng: random.Random) -> LogPair:
 
 
 def _admissible(pair: LogPair) -> bool:
-    exc = pair.graph.exceptional_ids
-    if not is_negative_definite(intersection_matrix(pair.graph, exc)):
-        return False
     try:
         _require_hypotheses(pair)
-    except (ComplementHypothesisError, GraphError, NotNegativeDefiniteError):
+    except ComplementHypothesisError:
         return False
     return True
 

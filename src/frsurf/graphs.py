@@ -355,13 +355,13 @@ def adjunction_degree(pair: LogPair, component: str):
 
 
 def dot_against_exceptionals(
-    graph: DualGraph, coeff: Mapping[str, Fraction] | None = None, include_canonical: bool = True
+    graph: DualGraph, coeff: Mapping[str, Fraction] | None = None
 ) -> dict[str, Fraction]:
-    """Pairing of (optional K) + sum coeff(v) . C_v with each exceptional curve."""
+    """Pairing of K + sum coeff(v) . C_v with each exceptional curve."""
     coeff = coeff or {}
     out = {}
     for j in graph.exceptional_ids:
-        val = Fraction(canonical_dot(graph, j)) if include_canonical else Fraction(0)
+        val = Fraction(canonical_dot(graph, j))
         cj = Fraction(coeff.get(j, 0))
         if cj:
             val += cj * Fraction(graph.vertex(j).self_int)

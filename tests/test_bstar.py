@@ -195,16 +195,29 @@ def test_verify_pfreg_clauses():
     cert = minimal_complement(pair)
     gamma0 = find_nonexceptional_chain(pair, cert.coeffs, "C")
     bstar = construct_bstar_plt(cert.coeffs, cert.level, gamma0)
-    report = verify_pfreg(pair, cert.coeffs, bstar, "C", 7, 4)
-    assert report.passed
-    assert sorted(report.values) == N3_DIFF_LIST
-    assert report.verdict.is_regular
+    anchors, verdict = verify_pfreg(pair, bstar, "C", 7, 4)
+    assert sorted(val for _a, val in anchors) == N3_DIFF_LIST
+    assert verdict.is_regular
 
-    # break the sandwich: bstar above bc somewhere
-    bad = dict(bstar)
-    bad["A"] = F(5, 6)
-    report_bad = verify_pfreg(pair, cert.coeffs, bad, "C", 7, 4)
-    assert report_bad.clauses["nef_and_sandwich"] is False
+
+def test_gfr_maps_inconclusive_fedder():
+    # the p=7 witness of plt_fork_level6 needs e = 3
+    with pytest.raises(PipelineError) as err:
+        gfr_certificate(plt_fork_level6(), 7, e_max=2)
+    assert (err.value.stage, err.value.kind) == ("fedder", "inconclusive")
+
+
+def test_gfr_rejects_broken_sandwich(monkeypatch):
+    real = construct_bstar_plt
+
+    def raised(bc, level, gamma0):
+        return {**real(bc, level, gamma0), "A": F(5, 6)}
+
+    monkeypatch.setattr("frsurf.bstar.construct_bstar_plt", raised)
+    with pytest.raises(PipelineError) as err:
+        gfr_certificate(plt_fork_level6(), 7, 6)
+    assert (err.value.stage, err.value.kind) == ("pfreg", "structure")
+    assert "sandwich Bc >= B* >= B fails at A" in str(err.value)
 
 
 def test_gfr_certificates_on_families():
@@ -274,6 +287,9 @@ def test_reverify_detects_tampering():
         ("prime", 9),
         ("e_max", 0),
         ("e_max", cert.fedder.certificate.e - 1),
+        ("center", "Z"),
+        ("center", "A"),
+        ("bstar", {**cert.bstar, "L": F(3, 2)}),
     ):
         mutated = dataclasses.replace(cert, **{field: value})
         assert reverify_certificate(pair, mutated) != [], (field, value)

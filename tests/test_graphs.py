@@ -287,9 +287,6 @@ def test_dot_against_exceptionals():
     dots = dot_against_exceptionals(g2, {"v1": F(1, 3)})
     assert dots["v1"] == 0  # (K + C/3) . C = 1 - 1 = 0
     assert anti_nef_over_base(dots)
-    # boundary-only pairing, canonical part switched off
-    no_k = dot_against_exceptionals(g2, {"v1": F(1, 3)}, include_canonical=False)
-    assert no_k["v1"] == -1
 
 
 def test_contract_vertex_examples():
