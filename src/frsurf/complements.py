@@ -4,15 +4,19 @@ A complement of level N in {1, 2, 3, 4, 6} is a coefficient vector Bc >= B
 with N * Bc integral, K + Bc pairing to zero against every exceptional
 curve, the pair (graph, Bc) log canonical but not klt, and the floor bound
 N * Bc >= floor((N + 1) * B).  The search enumerates non-exceptional
-coefficients on the 1/N grid and solves the exceptional ones from the
-trivial-pairing linear system, so on abstract graphs it is complete but may
-come up empty.
+coefficients on the 1/N grid, restricted to the values that can pass the
+dominance, integrality and floor-bound checks, and solves the exceptional
+ones from the trivial-pairing system (an affine map once the exceptional
+lattice is factored).  Only candidates whose every coefficient lies on
+that grid reach `verify_complement`, so on abstract graphs the search is
+complete but may come up empty.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +27,6 @@ from .graphs import (
     classify,
     dot_against_exceptionals,
     format_rational,
-    solve_trivial_pairing,
     GraphError,
 )
 from .rationals import is_standard
@@ -137,26 +140,47 @@ def _require_hypotheses(pair: LogPair) -> None:
         raise ComplementHypothesisError(failures)
 
 
+def _grid(level: int, b) -> range:
+    """Numerators m of the values m/level a complement may take over b.
+
+    max(ceil(level*b), floor((level+1)*b)) <= m <= level: exactly the
+    values in [0, 1] that pass the dominance, integrality and floor-bound
+    checks of `verify_complement`.
+    """
+    return range(max(math.ceil(level * b), math.floor((level + 1) * b)), level + 1)
+
+
 def _search(pair: LogPair, level: int) -> ComplementCertificate | None:
     graph = pair.graph
     b = pair.coeff
     exc = graph.exceptional_ids
     nonexc = [v for v in graph.ids if not graph.vertex(v).exceptional]
-    choices = []
-    for v in nonexc:
-        m_min = math.ceil(level * b[v])
-        choices.append([Fraction(m, level) for m in range(m_min, level + 1)])
-    for combo in itertools.product(*choices):
-        assignment = dict(zip(nonexc, combo))
-        solved = solve_trivial_pairing(graph, assignment, exc)
-        if any(not 0 <= val <= 1 for val in solved.values()):
-            continue
-        bc = {**assignment, **solved}
-        report = verify_complement(pair, bc, level)
-        if report.passed:
-            return ComplementCertificate(
-                level=level, coeffs=bc, plt_case=report.classification.is_plt
-            )
+    # The solved exceptional values x satisfy den*x = x0 + sum_v (m_v/level)
+    # col_v (col_v zero unless v meets an exceptional curve), so level*den*x
+    # is an integer affine map of the numerators m_v, and x is on the
+    # 1/level grid iff den divides it.
+    lattice = graph.lattice(exc)
+    den = lattice.den
+    base = [level * x for x in lattice.x0]
+    zero = (0,) * len(exc)
+    cols = [lattice.columns.get(v, zero) for v in nonexc]
+    steps = [[c[i] for c in cols] for i in range(len(exc))]
+    exc_grids = [_grid(level, b[j]) for j in exc]
+    for combo in itertools.product(*(_grid(level, b[v]) for v in nonexc)):
+        solved = []
+        for t0, step, grid in zip(base, steps, exc_grids):
+            m, r = divmod(t0 + sum(map(operator.mul, combo, step)), den)
+            if r or m not in grid:
+                break
+            solved.append(m)
+        else:
+            bc = {v: Fraction(m, level) for v, m in zip(nonexc, combo)}
+            bc.update((j, Fraction(m, level)) for j, m in zip(exc, solved))
+            report = verify_complement(pair, bc, level)
+            if report.passed:
+                return ComplementCertificate(
+                    level=level, coeffs=bc, plt_case=report.classification.is_plt
+                )
     return None
 
 

@@ -4,8 +4,11 @@ A graph models the resolution of a normal surface germ: vertices are smooth
 rational curves with self-intersection weights, edges carry intersection
 multiplicities, and a subset of vertices is marked exceptional (contracted
 over the base).  A log pair attaches a boundary coefficient in [0, 1] to
-every vertex.  All solves are exact; negative definiteness is decided by
-fraction-free (Bareiss) elimination.
+every vertex.  All solves are exact.  The pairing matrix on a set of
+curves is factored once per graph by one symmetric elimination
+M = L D L^T (leaves first, so trees cause no fill-in): its pivots decide
+negative definiteness, and every trivial-pairing solve on that set is then
+an affine map in the fixed coefficients (`PairingLattice`).
 """
 
 from __future__ import annotations
@@ -65,15 +68,18 @@ class DualGraph:
             adj[w][u] = mult
         self._vertices = vs
         self._edges = emap
-        self._adj = adj
+        self._ids = tuple(sorted(vs))
+        self._exceptional_ids = tuple(v for v in self._ids if vs[v].exceptional)
+        self._neighbors = {vid: tuple(sorted(adj[vid].items())) for vid in self._ids}
+        self._lattices: dict[tuple[str, ...], PairingLattice] = {}
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._vertices))
+        return self._ids
 
     @property
     def exceptional_ids(self) -> tuple[str, ...]:
-        return tuple(v for v in self.ids if self._vertices[v].exceptional)
+        return self._exceptional_ids
 
     def vertex(self, vid: str) -> Vertex:
         try:
@@ -91,9 +97,12 @@ class DualGraph:
         """Edges as (u, w, mult), sorted."""
         return [(u, w, self._edges[(u, w)]) for (u, w) in sorted(self._edges)]
 
-    def neighbors(self, vid: str):
-        self.vertex(vid)
-        return sorted(self._adj[vid].items())
+    def neighbors(self, vid: str) -> tuple[tuple[str, object], ...]:
+        """(neighbor id, multiplicity) pairs, sorted by id."""
+        try:
+            return self._neighbors[vid]
+        except KeyError:
+            raise GraphError(f"unknown vertex {vid!r}") from None
 
     def pairing(self, u: str, w: str):
         """Intersection number of the curve classes u and w."""
@@ -101,7 +110,15 @@ class DualGraph:
             return self.vertex(u).self_int
         self.vertex(u)
         self.vertex(w)
-        return self._adj[u].get(w, 0)
+        return self._edges.get((u, w) if u <= w else (w, u), 0)
+
+    def lattice(self, unknowns: Iterable[str]) -> "PairingLattice":
+        """The factored pairing matrix on `unknowns`, built once per set."""
+        key = tuple(sorted(set(unknowns)))
+        lat = self._lattices.get(key)
+        if lat is None:
+            lat = self._lattices[key] = PairingLattice(self, key)
+        return lat
 
 
 @dataclass(frozen=True)
@@ -156,38 +173,65 @@ def intersection_matrix(graph: DualGraph, subset=None) -> list[list]:
     return [[graph.pairing(u, w) for w in ids] for u in ids]
 
 
-def is_negative_definite(matrix) -> bool:
-    """Exact test: all leading principal minors of -M positive.
+def _ldl(diag: list, off: dict[int, dict[int, object]]):
+    """Exact symmetric elimination P M P^T = L D L^T, without pivoting.
 
-    Denominators are cleared with a positive scale (signs of minors are
-    unchanged), then Bareiss fraction-free elimination produces the minors
-    as pivots; a nonpositive pivot ends the test.
+    M is given by its diagonal and its nonzero off-diagonal entries
+    (off[i][j] = M[i][j], both triangles).  Each step eliminates a row of
+    fewest remaining off-diagonal entries, lowest index first; on a tree
+    that is always a leaf, so L has no fill-in.  Returns
+    (order, pivots, below): the index eliminated at step t, the pivot D[t],
+    and the entries (i, L[i][t]) below it.  A zero pivot (a vanishing
+    leading minor in that order) ends the elimination before its step, so
+    fewer pivots than rows are returned exactly then.
+    """
+    diag = list(diag)
+    rest = {i: dict(row) for i, row in off.items()}
+    order, pivots, below = [], [], []
+    while rest:
+        k = min(rest, key=lambda i: (len(rest[i]), i))
+        row_k = rest.pop(k)
+        d = Fraction(diag[k])
+        if d == 0:
+            break
+        col = [(i, x / d) for i, x in row_k.items()]
+        order.append(k)
+        pivots.append(d)
+        below.append(col)
+        for i, li in col:
+            row_i = rest[i]
+            del row_i[k]
+            xi = row_k[i]
+            diag[i] -= xi * li
+            for j, lj in col:
+                if j != i:
+                    v = row_i.get(j, 0) - xi * lj
+                    if v:
+                        row_i[j] = v
+                    else:
+                        row_i.pop(j, None)
+    return order, pivots, below
+
+
+def is_negative_definite(matrix) -> bool:
+    """Exact test: every pivot of the symmetric elimination is negative.
+
+    The pivots are ratios of consecutive leading principal minors (in the
+    elimination order), so this is Sylvester's criterion; a zero pivot
+    ends the test.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise GraphError("matrix is not square")
+    m = [[Fraction(x) for x in row] for row in matrix]
     for i in range(n):
         for j in range(i + 1, n):
-            if Fraction(matrix[i][j]) != Fraction(matrix[j][i]):
+            if m[i][j] != m[j][i]:
                 raise GraphError("matrix is not symmetric")
-    if n == 0:
-        return True
-    scale = 1
-    for row in matrix:
-        for x in row:
-            scale = lcm(scale, Fraction(x).denominator)
-    m = [[int(Fraction(-x) * scale) for x in row] for row in matrix]
-    prev = 1
-    for k in range(n):
-        piv = m[k][k]
-        if piv <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-        prev = piv
-    return True
+    off = {i: {j: x for j, x in enumerate(row) if x and j != i} for i, row in enumerate(m)}
+    _order, pivots, _below = _ldl([m[i][i] for i in range(n)], off)
+    return len(pivots) == n and all(d < 0 for d in pivots)
 
 
 def canonical_dot(graph: DualGraph, vid: str):
@@ -195,21 +239,70 @@ def canonical_dot(graph: DualGraph, vid: str):
     return _as_weight(-2 - Fraction(graph.vertex(vid).self_int))
 
 
-def _solve_linear(matrix, rhs) -> list[Fraction]:
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
+class PairingLattice:
+    """The pairing matrix M on a set of curves, factored once.
+
+    It answers the trivial-pairing system of `solve_trivial_pairing`:
+    x = M^-1 (r0 - sum_v coeff(v) n_v), where r0_j = -K.E_j and n_v is
+    the column of multiplicities of an outside neighbour v against the
+    curves.  That is the affine map x = (x0 + sum_v coeff(v) col_v) / den,
+    with x0 = den M^-1 r0 and each col_v = -den M^-1 n_v integral
+    (`columns` maps v to col_v); the factor solves for them once and is
+    then dropped.  Built by `DualGraph.lattice`, which keeps one per set
+    of curves.
+    """
+
+    __slots__ = ("unknowns", "definite", "den", "x0", "columns")
+
+    def __init__(self, graph: DualGraph, unknowns: tuple[str, ...]):
+        n = len(unknowns)
+        index = {v: i for i, v in enumerate(unknowns)}
+        diag = [graph.vertex(v).self_int for v in unknowns]
+        off: dict[int, dict[int, object]] = {i: {} for i in range(n)}
+        outside: dict[str, list] = {}
+        for i, v in enumerate(unknowns):
+            for w, mult in graph.neighbors(v):
+                if w in index:
+                    off[i][index[w]] = mult
+                else:
+                    outside.setdefault(w, [0] * n)[i] = -mult
+        order, pivots, below = _ldl(diag, off)
+        self.unknowns = unknowns
+        self.definite = len(pivots) == n and all(d < 0 for d in pivots)
+        # x0 stays None when the elimination meets a zero pivot.
+        self.den, self.x0, self.columns = 1, None, {}
+        if len(pivots) < n:
+            return
+
+        def solve(rhs: list) -> list[Fraction]:
+            y = list(rhs)
+            for k, col in zip(order, below):
+                if y[k]:
+                    for i, l in col:
+                        y[i] -= l * y[k]
+            for k, d in zip(order, pivots):
+                y[k] /= d
+            for k, col in zip(reversed(order), reversed(below)):
+                for i, l in col:
+                    y[k] -= l * y[i]
+            return y
+
+        x0 = solve([2 + v for v in diag])
+        cols = {w: solve(rhs) for w, rhs in outside.items()}
+        den = lcm(*(x.denominator for c in (x0, *cols.values()) for x in c))
+        self.den = den
+        self.x0 = tuple(int(x * den) for x in x0)
+        self.columns = {w: tuple(int(x * den) for x in c) for w, c in cols.items()}
+
+    def solve(self, coeff: Mapping[str, Fraction]) -> dict[str, Fraction]:
+        if self.x0 is None:
             raise GraphError("singular linear system")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col] / pv
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return [m[i][n] / m[i][i] for i in range(n)]
+        x = self.x0
+        for vid, col in self.columns.items():
+            c = coeff.get(vid, 0)
+            if c:
+                x = [a + c * b for a, b in zip(x, col)]
+        return {u: Fraction(a, self.den) for u, a in zip(self.unknowns, x)}
 
 
 def solve_trivial_pairing(
@@ -220,20 +313,14 @@ def solve_trivial_pairing(
 
     `coeff` is held fixed on every other vertex (a missing vertex counts as
     0); its values may lie outside [0, 1], and its values on `unknowns` are
-    ignored.  The system's matrix is the pairing matrix on `unknowns`.
+    ignored.  The system's matrix is the pairing matrix on `unknowns`,
+    factored once per graph and set of curves (`DualGraph.lattice`).
+    Raises GraphError("singular linear system") when the elimination meets
+    a zero pivot, that is a vanishing leading principal minor; a
+    negative-definite matrix, or a principal submatrix of one, never has
+    one.
     """
-    unknowns = tuple(sorted(unknowns))
-    if not unknowns:
-        return {}
-    solving = set(unknowns)
-    rhs = []
-    for j in unknowns:
-        val = -Fraction(canonical_dot(graph, j))
-        for nbr, mult in graph.neighbors(j):
-            if nbr not in solving:
-                val -= coeff.get(nbr, 0) * mult
-        rhs.append(val)
-    return dict(zip(unknowns, _solve_linear(intersection_matrix(graph, unknowns), rhs)))
+    return graph.lattice(unknowns).solve(coeff)
 
 
 def pullback_coefficients(pair: LogPair) -> PullbackSolution:
@@ -242,13 +329,12 @@ def pullback_coefficients(pair: LogPair) -> PullbackSolution:
     Uniqueness needs the exceptional lattice to be negative definite; each
     discrepancy is a_E = -b_E.
     """
-    graph = pair.graph
-    exc = graph.exceptional_ids
-    if not is_negative_definite(intersection_matrix(graph, exc)):
+    lattice = pair.graph.lattice(pair.graph.exceptional_ids)
+    if not lattice.definite:
         raise NotNegativeDefiniteError(
             "exceptional intersection lattice is not negative definite"
         )
-    b = solve_trivial_pairing(graph, pair.coeff, exc)
+    b = lattice.solve(pair.coeff)
     return PullbackSolution(b=b, a={k: -v for k, v in b.items()})
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -147,3 +149,73 @@ def test_small_random_corpus_consistency():
             # equality with B only happens on the level grid
             if val == pair.coeff[v]:
                 assert (cert.level * val).denominator == 1
+
+
+def solve_dense(matrix, rhs):
+    # independent exact solve: Gauss-Jordan on Fractions with row pivoting
+    n = len(matrix)
+    m = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(matrix)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                for k in range(c, n + 1):
+                    m[r][k] -= f * m[c][k]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def brute_force_complement(pair, level):
+    """First complement on the unpruned grid ceil(N*b)..N, in lexicographic
+    order of the non-exceptional vertices; exceptional values come from a
+    dense solve of (K + Bc) . E = 0."""
+    g = pair.graph
+    exc = sorted(v for v in g.ids if g.vertex(v).exceptional)
+    nonexc = sorted(v for v in g.ids if not g.vertex(v).exceptional)
+    matrix = [[g.pairing(u, w) for w in exc] for u in exc]
+    ranges = [range(math.ceil(level * pair.coeff[v]), level + 1) for v in nonexc]
+    for combo in itertools.product(*ranges):
+        bc = {v: F(m, level) for v, m in zip(nonexc, combo)}
+        rhs = [
+            2 + g.vertex(j).self_int - sum(bc[v] * g.pairing(j, v) for v in nonexc)
+            for j in exc
+        ]
+        bc.update(zip(exc, solve_dense(matrix, rhs)))
+        if verify_complement(pair, bc, level).passed:
+            return bc
+    return None
+
+
+def test_search_matches_brute_force_reference():
+    found = 0
+    for pair in random_corpus(seed=1, count=150):
+        first = None
+        for level in (1, 2, 3, 4, 6):
+            expect = brute_force_complement(pair, level)
+            cert = search_complement(pair, level)
+            assert (cert and cert.coeffs) == expect, level
+            if first is None and expect is not None:
+                first = (level, expect)
+        cert = minimal_complement(pair)
+        assert (cert and (cert.level, cert.coeffs)) == first
+        found += cert is not None
+    assert found > 50
+
+
+def test_search_verifies_only_on_grid_candidates(monkeypatch):
+    from frsurf import complements
+
+    reports = []
+    real = complements.verify_complement
+
+    def recording(pair, bc, level):
+        reports.append(real(pair, bc, level))
+        return reports[-1]
+
+    monkeypatch.setattr(complements, "verify_complement", recording)
+    for pair in random_corpus(seed=2, count=60):
+        minimal_complement(pair)
+    assert len(reports) > 60
+    for report in reports:
+        assert all(report.checks[k] for k in ("dominates", "integral", "floor_bound")), report
