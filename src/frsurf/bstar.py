@@ -258,22 +258,18 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
                     "epsilon", "structure", f"coefficient at {v!r} cannot grow past 1"
                 )
             bounds.append(room / d)
-    # Bsharp may leave [0, 1] and is no boundary, so the slopes of the
-    # solved b come straight from the trivial-pairing solve.
-    exc = graph.exceptional_ids
-    b0 = solve_trivial_pairing(graph, bc, exc)
-    b1 = solve_trivial_pairing(graph, bsharp, exc)
-    for j in exc:
-        slope = b1[j] - b0[j]
-        if b0[j] >= 1:
-            if b0[j] > 1 or slope >= 0:
-                raise PipelineError(
-                    "epsilon",
-                    "structure",
-                    f"solved coefficient at {j!r} cannot drop below 1",
-                )
-        elif slope > 0:
-            bounds.append((1 - b0[j]) / slope)
+    # The solved b is affine in eps: Bc itself at eps = 0 (Bc pairs trivially
+    # with the exceptional curves), and at eps = 1 the solve for Bsharp, which
+    # may leave [0, 1] and is no boundary.
+    for j, b1 in solve_trivial_pairing(graph, bsharp, graph.exceptional_ids).items():
+        b0 = Fraction(bc[j])
+        slope = b1 - b0
+        if b0 == 1 and slope >= 0:
+            raise PipelineError(
+                "epsilon", "structure", f"solved coefficient at {j!r} cannot drop below 1"
+            )
+        if b0 < 1 and slope > 0:
+            bounds.append((1 - b0) / slope)
     eps_max = min(bounds)
     if eps_max <= 0:
         raise PipelineError("epsilon", "structure", "no room for a positive mix")
@@ -466,10 +462,11 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     for v in graph.ids:
         if not Fraction(bc[v]) >= Fraction(bs[v]) >= b[v]:
             problems.append(f"sandwich Bc >= B* >= B fails at {v}")
-    if not classify(pair.with_coeff(bs)).is_plt:
+    bs_pair = pair.with_coeff(bs)
+    if not classify(bs_pair).is_plt:
         problems.append("pair with B* is not plt")
 
-    anchors = diff_on_component(pair.with_coeff(bs), cert.center)
+    anchors = diff_on_component(bs_pair, cert.center)
     values = tuple(val for _a, val in anchors)
     if values != cert.diff:
         problems.append("recorded different disagrees with the recomputation")

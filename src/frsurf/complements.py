@@ -7,8 +7,10 @@ N * Bc >= floor((N + 1) * B).  The search enumerates non-exceptional
 coefficients on the 1/N grid, restricted to the values that can pass the
 dominance, integrality and floor-bound checks, and solves the exceptional
 ones from the trivial-pairing system (an affine map once the exceptional
-lattice is factored).  Only candidates whose every coefficient lies on
-that grid reach `verify_complement`, so on abstract graphs the search is
+lattice is factored).  An on-grid candidate pairs trivially with the
+negative-definite exceptional lattice, so its crepant pullback is itself
+and the search labels it (`graphs.label`) from the values it solved;
+`verify_complement` judges certificates.  On abstract graphs the search is
 complete but may come up empty.
 """
 
@@ -28,6 +30,7 @@ from .graphs import (
     dot_against_exceptionals,
     format_rational,
     GraphError,
+    label,
 )
 from .rationals import is_standard
 
@@ -176,18 +179,16 @@ def _search(pair: LogPair, level: int) -> ComplementCertificate | None:
         else:
             bc = {v: Fraction(m, level) for v, m in zip(nonexc, combo)}
             bc.update((j, Fraction(m, level)) for j, m in zip(exc, solved))
-            report = verify_complement(pair, bc, level)
-            if report.passed:
-                return ComplementCertificate(
-                    level=level, coeffs=bc, plt_case=report.classification.is_plt
-                )
+            cls = label(graph, bc, {j: bc[j] for j in exc})
+            if cls.is_lc and not cls.is_klt:
+                return ComplementCertificate(level=level, coeffs=bc, plt_case=cls.is_plt)
     return None
 
 
 def search_complement(pair: LogPair, level: int) -> ComplementCertificate | None:
     """First (lexicographic) complement at a fixed level, or None."""
     _require_hypotheses(pair)
-    return _search(pair, level)
+    return _search(pair, level) if level in LEVELS else None
 
 
 def minimal_complement(pair: LogPair) -> ComplementCertificate | None:

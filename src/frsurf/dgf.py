@@ -61,6 +61,7 @@ def parse_germ(text: str) -> GermFile:
     edges: list[tuple] = []
     edge_lines: dict[tuple, int] = {}
     boundaries: dict[str, dict[str, Fraction]] = {}
+    boundary_lines: dict[str, int] = {}
     primes: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,6 +138,7 @@ def parse_germ(text: str) -> GermFile:
                     raise ParseError(lineno, f"repeated vertex {vid!r} in boundary")
                 vec[vid] = _coeff(lineno, val)
             boundaries[name] = vec
+            boundary_lines[name] = lineno
         elif kind == "prime":
             if len(tokens) < 2:
                 raise ParseError(lineno, "prime needs at least one value")
@@ -151,19 +153,16 @@ def parse_germ(text: str) -> GermFile:
         else:
             raise ParseError(lineno, f"unknown declaration {kind!r}")
 
-    try:
-        graph = DualGraph(curves, edges)
-    except GraphError as exc:
-        bad_line = 0
-        for (u, w, _m) in edges:
-            if u not in seen or w not in seen:
-                bad_line = edge_lines[(u, w) if u <= w else (w, u)]
-                break
-        raise ParseError(bad_line or 1, str(exc))
+    for u, w, _m in edges:
+        if u not in seen or w not in seen:
+            msg = f"edge {u!r}-{w!r} references an unknown vertex"
+            raise ParseError(edge_lines[(u, w) if u <= w else (w, u)], msg)
     for name, vec in boundaries.items():
         for vid in vec:
             if vid not in seen:
-                raise ParseError(1, f"boundary {name!r} references unknown vertex {vid!r}")
+                msg = f"boundary {name!r} references unknown vertex {vid!r}"
+                raise ParseError(boundary_lines[name], msg)
+    graph = DualGraph(curves, edges)
     return GermFile(graph=graph, coeff=coeff, boundaries=boundaries, primes=primes)
 
 

@@ -8,7 +8,9 @@ every vertex.  All solves are exact.  The pairing matrix on a set of
 curves is factored once per graph by one symmetric elimination
 M = L D L^T (leaves first, so trees cause no fill-in): its pivots decide
 negative definiteness, and every trivial-pairing solve on that set is then
-an affine map in the fixed coefficients (`PairingLattice`).
+an affine map in the fixed coefficients (`PairingLattice`).  `label` reads
+terminal / canonical / klt / plt / lc off the boundary and the
+crepant-pullback coefficients; `classify` solves for those and labels.
 """
 
 from __future__ import annotations
@@ -339,18 +341,19 @@ def pullback_coefficients(pair: LogPair) -> PullbackSolution:
 
 
 def classify(pair: LogPair) -> Classification:
-    """Singularity class of the germ modeled by the pair.
+    """Singularity class of the germ modeled by the pair."""
+    return label(pair.graph, pair.coeff, pullback_coefficients(pair).b)
 
-    b is the crepant-pullback solution from the non-exceptional boundary.
+
+def label(graph: DualGraph, coeff: Mapping[str, Fraction], b: dict) -> Classification:
+    """Singularity class from the boundary `coeff` (every vertex) and the
+    crepant-pullback coefficients `b` on the exceptional curves.
+
     A vertex that carries coefficient 1 in the boundary is a marked log
     canonical center; a solved b = 1 there does not spoil plt-ness (the
     pair on the model keeps that curve reduced), whereas an unmarked b = 1
     does.
     """
-    graph = pair.graph
-    sol = pullback_coefficients(pair)
-    b = sol.b
-    coeff = pair.coeff
     edges = graph.edges()
     ones = {v for v, c in coeff.items() if c == 1}
     ones_adjacent = any(u in ones and w in ones for (u, w, _m) in edges)
@@ -375,17 +378,17 @@ def classify(pair: LogPair) -> Classification:
     is_lc = all_b_le1
 
     if is_terminal:
-        label = "terminal"
+        name = "terminal"
     elif is_canonical:
-        label = "canonical"
+        name = "canonical"
     elif is_klt:
-        label = "klt"
+        name = "klt"
     elif is_plt:
-        label = "plt"
+        name = "plt"
     elif is_lc:
-        label = "lc"
+        name = "lc"
     else:
-        label = "not_lc"
+        name = "not_lc"
 
     max_b = max_v = None
     if b:
@@ -393,7 +396,7 @@ def classify(pair: LogPair) -> Classification:
         max_b = b[max_v]
     centers = sorted(ones) + sorted(j for j, v in b.items() if v == 1 and j not in ones)
     return Classification(
-        label=label,
+        label=name,
         b=b,
         max_b=max_b,
         max_b_vertex=max_v,

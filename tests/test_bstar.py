@@ -190,6 +190,28 @@ meet E2 L1 1
     assert reverify_certificate(pair, full) == []
 
 
+def test_nonplt_surgery_solves_bc_not_again(monkeypatch):
+    # Bc is its own pullback, so the surgery solves twice: Bsharp on the
+    # chain's exceptional curves, then the pullback of Bsharp on all of them.
+    from frsurf import bstar
+
+    calls = []
+    real = bstar.solve_trivial_pairing
+
+    def recording(graph, coeff, unknowns):
+        calls.append(tuple(unknowns))
+        return real(graph, coeff, unknowns)
+
+    monkeypatch.setattr(bstar, "solve_trivial_pairing", recording)
+    for pair in (nonplt_fork(), nonplt_line()):
+        cert = minimal_complement(pair)
+        calls.clear()
+        surgery = construct_bstar_nonplt(pair, cert.coeffs)
+        graph = pair.graph
+        on_chain = tuple(v for v in surgery.gamma_prime if graph.vertex(v).exceptional)
+        assert calls == [on_chain, graph.exceptional_ids]
+
+
 def test_verify_pfreg_clauses():
     pair = plt_fork_level3()
     cert = minimal_complement(pair)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from frsurf.complements import (
+    LEVELS,
     ComplementHypothesisError,
     minimal_complement,
     search_complement,
@@ -19,7 +20,13 @@ from frsurf.corpus import (
     plt_fork_level6,
     random_corpus,
 )
-from frsurf.graphs import GraphError, LogPair, adjunction_degree, classify
+from frsurf.graphs import (
+    GraphError,
+    LogPair,
+    adjunction_degree,
+    classify,
+    solve_trivial_pairing,
+)
 
 
 def test_verify_a1_examples():
@@ -59,6 +66,8 @@ def test_search_a1():
     assert cert.coeffs == {"E": F(1, 2), "L": F(1)}
     assert cert.plt_case
     assert search_complement(pair, 1) is None
+    for level in (0, 5, -1):  # outside {1, 2, 3, 4, 6}
+        assert search_complement(pair, level) is None
 
 
 def test_search_no_carrier_returns_absent():
@@ -203,19 +212,76 @@ def test_search_matches_brute_force_reference():
     assert found > 50
 
 
-def test_search_verifies_only_on_grid_candidates(monkeypatch):
+def test_search_labels_agree_with_verify_complement(monkeypatch):
+    # The search labels each on-grid candidate from the values it solved;
+    # verify_complement, re-deriving all six checks, must reach the same
+    # accept and plt decisions on every one of them.
     from frsurf import complements
 
-    reports = []
-    real = complements.verify_complement
+    labelled = []
+    real_label = complements.label
 
-    def recording(pair, bc, level):
-        reports.append(real(pair, bc, level))
-        return reports[-1]
+    def recording(graph, bc, b):
+        cls = real_label(graph, bc, b)
+        labelled.append((bc, cls))
+        return cls
 
-    monkeypatch.setattr(complements, "verify_complement", recording)
+    verified = []
+    real_verify = complements.verify_complement
+
+    def counting(*args):
+        verified.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(complements, "label", recording)
+    monkeypatch.setattr(complements, "verify_complement", counting)
+    accepted = rejected = 0
     for pair in random_corpus(seed=2, count=60):
+        for level in LEVELS:
+            labelled.clear()
+            cert = search_complement(pair, level)
+            for bc, cls in labelled:
+                report = real_verify(pair, bc, level)
+                assert report.passed == (cls.is_lc and not cls.is_klt), (bc, level)
+                # the whole classification, b included, not just the flags
+                assert report.classification == cls, (bc, level)
+                accepted += report.passed
+                rejected += not report.passed
+            if cert is not None:
+                assert labelled[-1][0] == cert.coeffs
+                assert cert.plt_case == labelled[-1][1].is_plt
         minimal_complement(pair)
-    assert len(reports) > 60
-    for report in reports:
-        assert all(report.checks[k] for k in ("dominates", "integral", "floor_bound")), report
+    assert verified == []
+    assert accepted > 60 and rejected > 60
+
+
+def test_search_reads_only_its_own_solve(monkeypatch):
+    from frsurf import complements
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search re-derives what it solved")
+
+    pairs = [pair for _name, pair in deliberate_families()]
+    pairs += random_corpus(seed=3, count=40)
+    for name in ("verify_complement", "classify", "dot_against_exceptionals", "LogPair"):
+        monkeypatch.setattr(complements, name, forbidden)
+    found = sum(complements._search(pair, level) is not None for pair in pairs for level in LEVELS)
+    assert found > 40
+
+
+def test_complement_is_its_own_pullback():
+    # Bc pairs trivially with every exceptional curve and the exceptional
+    # lattice is negative definite, so the crepant pullback of Bc is Bc.
+    pairs = [pair for _name, pair in deliberate_families()]
+    pairs += random_corpus(seed=1, count=150)
+    found = 0
+    for pair in pairs:
+        cert = minimal_complement(pair)
+        if cert is None:
+            continue
+        found += 1
+        exc = pair.graph.exceptional_ids
+        expect = {j: cert.coeffs[j] for j in exc}
+        assert classify(pair.with_coeff(cert.coeffs)).b == expect
+        assert solve_trivial_pairing(pair.graph, cert.coeffs, exc) == expect
+    assert found > 60

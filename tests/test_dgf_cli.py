@@ -43,20 +43,27 @@ def test_parse_round_trip():
 
 def test_parse_errors_carry_line_numbers():
     cases = [
-        ("curve E self=-2 exceptional=yes coeff=3", "outside"),
-        ("curve E self=-2 exceptional=yes\nmeet E E 1", "self-loop"),
-        ("curve E self=-2 exceptional=yes\ncurve E self=-1 exceptional=no", "duplicate"),
-        ("curve E self=-2 exceptional=yes coeff=0.5", "fraction"),
-        ("curve E self=-2 exceptional=yes genus=1", "genus"),
-        ("wobble E", "unknown"),
-        ("curve E self=-2 exceptional=yes\nmeet E Z 1", "unknown"),
-        ("prime 9", "not prime"),
+        ("curve E self=-2 exceptional=yes coeff=3", "outside", 1),
+        ("curve E self=-2 exceptional=yes\nmeet E E 1", "self-loop", 2),
+        ("curve E self=-2 exceptional=yes\ncurve E self=-1 exceptional=no", "duplicate", 2),
+        ("curve E self=-2 exceptional=yes coeff=0.5", "fraction", 1),
+        ("curve E self=-2 exceptional=yes genus=1", "genus", 1),
+        ("wobble E", "unknown", 1),
+        ("curve E self=-2 exceptional=yes\nmeet E Z 1", "unknown", 2),
+        ("prime 9", "not prime", 1),
+        (
+            "curve E self=-2 exceptional=yes\ncurve L self=0 exceptional=no\n"
+            "meet E L 1\n# a comment\nboundary half E=1/2 Z=1/2\nprime 7",
+            "unknown vertex 'Z'",
+            5,
+        ),
     ]
-    for text, needle in cases:
+    for text, needle, line in cases:
         with pytest.raises(ParseError) as err:
             parse_germ(text)
         assert needle in str(err.value)
-        assert err.value.line >= 1
+        assert err.value.line == line, text
+        assert str(err.value).startswith(f"line {line}: ")
 
 
 def _run(capsys, *argv):
