@@ -484,11 +484,16 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
                 f"the certificate claims p={cert.prime}, e <= {cert.e_max}"
             )
         else:
-            p1 = P1Pair.from_coeffs(nonzero)
-            if fedder_exponents(p1, fc.p, fc.e) != fc.a:
-                problems.append("stored exponents disagree with the different")
-            if not verify_witness(fc.a, fc.witness[0], fc.witness[1], fc.p, fc.e):
-                problems.append("stored witness monomial fails verification")
+            try:
+                p1 = P1Pair.from_coeffs(nonzero)
+            except ValueError as exc:
+                # A coefficient 1 or a fourth marked point: no Fedder test applies.
+                problems.append(f"the different is not a P1 pair: {exc}")
+            else:
+                if fedder_exponents(p1, fc.p, fc.e) != fc.a:
+                    problems.append("stored exponents disagree with the different")
+                if not verify_witness(fc.a, fc.witness[0], fc.witness[1], fc.p, fc.e):
+                    problems.append("stored witness monomial fails verification")
     else:
         if len(nonzero) > 2:
             problems.append("toric verdict with more than two marked points")

@@ -163,7 +163,8 @@ def test_criterion_4_oracle_equivalences():
 def test_criterion_5_performance():
     p = 7
     timings = {}
-    for e, budget in ((10**4, 1.0), (10**5, 15.0)):
+    # (e, search budget, witness-check budget)
+    for e, budget, check_budget in ((10**4, 1.0, 1.0), (10**5, 15.0, 3.0)):
         m = p**e - 1
         a3 = ceil_mul(F(5, 6), m)
         a1 = ceil_mul(F(2, 5), m)
@@ -173,12 +174,18 @@ def test_criterion_5_performance():
         dt = time.perf_counter() - t0
         assert k is not None
         assert dt < budget, f"e={e} took {dt:.2f}s"
-        timings[e] = dt
+        t0 = time.perf_counter()
+        assert verify_witness((a1, a2, a3), a1 + k, a2 + a3 - k, p, e)
+        check = time.perf_counter() - t0
+        assert check < check_budget, f"verify_witness at e={e} took {check:.2f}s"
+        timings[e] = (dt, check)
     _report(
         5,
-        f"dominance search e=1e4 ({timings[10**4]:.3f}s) and e=1e5 ({timings[10**5]:.3f}s)",
-        sum(timings.values()),
-        "1 + 15",
+        f"dominance search e=1e4 ({timings[10**4][0]:.3f}s) and e=1e5 "
+        f"({timings[10**5][0]:.3f}s); witness check e=1e4 ({timings[10**4][1]:.3f}s) "
+        f"and e=1e5 ({timings[10**5][1]:.3f}s)",
+        sum(dt + check for dt, check in timings.values()),
+        "1 + 15 + 1 + 3",
     )
 
 

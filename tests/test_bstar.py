@@ -312,9 +312,17 @@ def test_reverify_detects_tampering():
         ("center", "Z"),
         ("center", "A"),
         ("bstar", {**cert.bstar, "L": F(3, 2)}),
+        ("bstar", {**cert.bstar, "A": F(1)}),
     ):
         mutated = dataclasses.replace(cert, **{field: value})
         assert reverify_certificate(pair, mutated) != [], (field, value)
+    # a different with a coefficient 1 or a fourth marked point is reported, not raised
+    fork2 = plt_fork_level2()
+    cert2 = gfr_certificate(fork2, 7, e_max=6)
+    mutated = dataclasses.replace(cert2, bstar={**cert2.bstar, "D": F(1)})
+    assert any(
+        "not a P1 pair" in problem for problem in reverify_certificate(fork2, mutated)
+    )
     # a toric verdict carries no prime of its own; the certificate's must be valid
     toric = gfr_certificate(a1_tail(), 7)
     assert toric.fedder.toric

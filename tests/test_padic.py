@@ -24,6 +24,35 @@ def brute_least_dominated(a, lo, hi, p, e):
     return None
 
 
+def _lucas_reference(n, k, p):
+    """C(n, k) mod p by Lucas' theorem, one bigint divmod per digit (O(e^2))."""
+    if k > n:
+        return 0
+    acc = 1
+    while k:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        if kd > nd:
+            return 0
+        acc = acc * (math.comb(nd, kd) % p) % p
+    return acc
+
+
+def _from_digits(digits, p):
+    n = 0
+    for d in reversed(digits):
+        n = n * p + d
+    return n
+
+
+def _divmod_digits(n, p, e):
+    out = []
+    for _ in range(e):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41}
     for n in range(-2, 42):
@@ -44,6 +73,38 @@ def test_binom_examples():
 @given(n=st.integers(0, 400), k=st.integers(0, 400), p=st.sampled_from([2, 3, 5, 7, 11, 13]))
 def test_binom_matches_big_integer(n, k, p):
     assert binom_mod_p(n, k, p) == math.comb(n, k) % p
+
+
+def test_binom_matches_lucas_reference_on_long_operands():
+    rng = random.Random(20240818)
+    e = 10**4
+    for p in (7, 11, 13, 101):
+        for _ in range(2):
+            digits_n = [rng.randrange(p) for _ in range(e - 1)] + [rng.randrange(1, p)]
+            # dominated k: every digit at most n's, so the residue is nonzero
+            digits_k = [rng.randint(0, d) for d in digits_n]
+            n = _from_digits(digits_n, p)
+            k = _from_digits(digits_k, p)
+            expected = _lucas_reference(n, k, p)
+            assert expected != 0
+            assert binom_mod_p(n, k, p) == expected, (p, "dominated")
+            k = rng.randint(0, n)
+            assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p), (p, "random")
+            for k in (0, n, n + 1, n + rng.randint(1, n)):
+                assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p), (p, "edge")
+
+
+def test_binom_matches_lucas_reference_at_digit_boundaries():
+    for p in (7, 11, 13, 101):
+        for n in range(2 * p + 2):
+            for k in (0, 1, n // 2, n - 1, n, n + 1, n + p):
+                if k >= 0:
+                    assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p), (n, k, p)
+        for e in (1, 2, 31, 32, 33, 200):
+            top = p**e
+            for n in (top - 1, top, top + 1):
+                for k in (0, 1, p - 1, top - 1, top, n, n + 1, n // 3):
+                    assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p), (e, p)
 
 
 def test_ceil_mul_examples():
@@ -69,6 +130,15 @@ def test_digits_fixed():
     assert digits_fixed(2280, 7, 4) == [5, 3, 4, 6]
     with pytest.raises(ValueError):
         digits_fixed(49, 7, 2)
+    for p in (2, 7, 97, 101):
+        assert digits_fixed(0, p, 0) == []
+        with pytest.raises(ValueError):
+            digits_fixed(1, p, 0)
+        with pytest.raises(ValueError):
+            digits_fixed(-1, p, 5)
+        for e in (1, 32, 33, 64, 65):
+            assert digits_fixed(0, p, e) == [0] * e
+            assert digits_fixed(p**e - 1, p, e) == [p - 1] * e
 
 
 def test_digits_fixed_divide_and_conquer_path():
@@ -79,6 +149,15 @@ def test_digits_fixed_divide_and_conquer_path():
             digs = digits_fixed(n, p, e)
             assert sum(d * p**i for i, d in enumerate(digs)) == n
             assert all(0 <= d < p for d in digs)
+
+
+@settings(max_examples=300)
+@given(p=st.sampled_from([2, 7, 97, 101]), e=st.integers(0, 200), data=st.data())
+def test_digits_fixed_matches_repeated_divmod(p, e, data):
+    n = data.draw(st.one_of(st.just(0), st.just(p**e - 1), st.integers(0, p**e - 1)))
+    assert digits_fixed(n, p, e) == _divmod_digits(n, p, e)
+    with pytest.raises(ValueError):
+        digits_fixed(p**e, p, e)
 
 
 def test_dominated_search_examples():
