@@ -2,15 +2,15 @@
 """Benchmark two checkouts in alternating pairs and write a BENCH_<n>.json.
 
 usage: python scripts/bench_pairs.py PARENT CHANGE OUT --workloads W[,W...]
-           --seeds S,S[,S...] [--seconds 30]   (at least two seeds)
+           --seeds S,S[,S...]   (at least two seeds)
 
 PARENT and CHANGE are checkouts (each with its own perfbench/ and src/).  For
 every workload and seed, `perfbench/run.py --trace 0` runs once in each,
-alternating which side runs first.  OUT records, per workload and per
-end-to-end metric of CHANGE's BENCHMARK.json, each side's median and
-quartiles (inclusive method) and the pairs the change wins (ties count for
-neither); also failed ops, incorrect runs, pairs with equal outputs_digest,
-the seeds, the pair count and the machine.
+alternating which side runs first, for the `run_seconds` of CHANGE's
+BENCHMARK.json.  OUT records, per workload and per end-to-end metric of that
+file, each side's median and quartiles (inclusive method) and the pairs the
+change wins (ties count for neither); also failed ops, incorrect runs, pairs
+with equal outputs_digest, the seeds, the pair count and the machine.
 """
 
 import argparse
@@ -39,28 +39,22 @@ def main():
         ap.add_argument(name)
     ap.add_argument("--workloads", required=True)
     ap.add_argument("--seeds", required=True)
-    ap.add_argument("--seconds", type=float, default=30)
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        spec = json.load(f)["end_to_end"]
-    cpu = platform.machine()
-    if os.path.exists("/proc/cpuinfo"):
-        with open("/proc/cpuinfo") as f:
-            cpu = next((l.split(":", 1)[1].strip() for l in f if l.startswith("model name")), cpu)
-    report = {"machine": {"cpu": cpu, "nproc": os.cpu_count(),
-                          "python": platform.python_version()},
-              "seconds": args.seconds, "seeds": seeds, "pairs": len(seeds), "workloads": {}}
+        bench = json.load(f)
+    spec, seconds = bench["end_to_end"], bench["run_seconds"]
+    report = {"machine": {"cpu": platform.processor() or platform.machine(),
+                          "nproc": os.cpu_count(), "python": platform.python_version()},
+              "seconds": seconds, "seeds": seeds, "pairs": len(seeds), "workloads": {}}
     for workload in args.workloads.split(","):
         runs, same_digest = {"parent": [], "change": []}, 0
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: run(getattr(args, side), workload, seed, args.seconds) for side in order}
+            pair = {side: run(getattr(args, side), workload, seed, seconds) for side in order}
             same_digest += pair["parent"][1] == pair["change"][1]
             for side in order:
                 runs[side].append(pair[side][0])
-            print(workload, seed, {s: runs[s][-1]["metrics"]["ops_per_s"]["value"] for s in order},
-                  file=sys.stderr)
         row = {"failed": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()},
                "incorrect": {s: sum(not r["correct"] for r in rs) for s, rs in runs.items()},
                "outputs_digest_equal": same_digest}
