@@ -9,8 +9,9 @@ every workload and seed, `perfbench/run.py --trace 0` runs once in each,
 alternating which side runs first, for the `run_seconds` of CHANGE's
 BENCHMARK.json.  OUT records, per workload and per end-to-end metric of that
 file, each side's median and quartiles (inclusive method) and the pairs the
-change wins (ties count for neither); also failed ops, incorrect runs, pairs
-with equal outputs_digest, the seeds, the pair count and the machine.
+change wins (ties count for neither), and every run's value in seed order;
+also failed ops, incorrect runs, pairs with equal outputs_digest, the seeds,
+the pair count and the machine.
 """
 
 import argparse
@@ -64,7 +65,7 @@ def main():
             row[m["name"]] = {"unit": m["unit"], "better": m["better"], **{
                 s: dict(zip(("q1", "median", "q3"),
                             statistics.quantiles(v, n=4, method="inclusive")))
-                for s, v in values.items()}, "change_wins": sum(
+                for s, v in values.items()}, "runs": values, "change_wins": sum(
                 sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))}
         report["workloads"][workload] = row
     with open(args.out, "w") as f:

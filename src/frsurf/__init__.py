@@ -33,23 +33,13 @@ from .graphs import (
     adjunction_degree,
     canonical_dot,
     classify,
-    contract_vertex,
     diff_on_component,
     dot_against_exceptionals,
     intersection_matrix,
     is_negative_definite,
     pullback_coefficients,
-    terminalization_support,
 )
 from .padic import binom_mod_p, ceil_mul, exists_dominated_in_interval, is_prime
-from .rationals import (
-    Rational,
-    cartier_index,
-    format_rational,
-    is_standard,
-    p_divides_index,
-    parse_rational,
-    std_replace,
-)
+from .rationals import format_rational, is_standard, parse_rational, std_replace
 
 __version__ = "0.1.0"

@@ -7,8 +7,9 @@ along a non-exceptional chain (plt case with an exceptional center) or the
 convex mix with the trivial-pairing solution (non-plt case), then the
 different of B* along the center and its monomial witness (`verify_pfreg`,
 clause (3)).  `reverify_certificate` is the one definition of a valid
-certificate: it checks the complement, anti-nefness of K + B*, the sandwich
-Bc >= B* >= B, plt-ness of (graph, B*), the different and the witness, and
+certificate: it checks the complement, that B* is the recorded surgery of
+Bc, anti-nefness of K + B*, the sandwich Bc >= B* >= B, plt-ness of
+(graph, B*), the different with its anchors and the witness, and
 `gfr_certificate` returns only certificates it accepts.
 """
 
@@ -208,6 +209,15 @@ def _chain_with_nonexceptional_end(pair: LogPair, bc, gamma: list[str]):
     )
 
 
+def _bsharp(graph, bc, gamma_prime) -> dict[str, Fraction]:
+    """Bc zeroed on the chain gamma_prime, whose exceptional curves are then
+    solved by trivial pairing (non-exceptional ones stay 0)."""
+    gp = set(gamma_prime)
+    b2 = {v: (Fraction(0) if v in gp else Fraction(bc[v])) for v in graph.ids}
+    exc_gp = [v for v in gamma_prime if graph.vertex(v).exceptional]
+    return {**b2, **solve_trivial_pairing(graph, b2, exc_gp)}
+
+
 def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
     """Trivial-pairing solve off the center, then a strictly interior convex mix.
 
@@ -230,10 +240,7 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
         raise PipelineError(
             "nonplt-split", "structure", "chain minus the center is empty"
         )
-    gp = set(gamma_prime)
-    b2 = {v: (Fraction(0) if v in gp else Fraction(bc[v])) for v in graph.ids}
-    exc_gp = [v for v in gamma_prime if graph.vertex(v).exceptional]
-    bsharp = {**b2, **solve_trivial_pairing(graph, b2, exc_gp)}
+    bsharp = _bsharp(graph, bc, gamma_prime)
     dots = dot_against_exceptionals(graph, bsharp)
     if not anti_nef_over_base(dots):
         bad = sorted(j for j, v in dots.items() if v > 0)
@@ -434,8 +441,9 @@ def certificate_from_payload(payload: dict) -> GfrCertificate:
 def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     """Re-check a certificate from scratch with graph and monomial primitives only.
 
-    Returns the list of discrepancies (empty means the certificate stands).
-    No state from the construction phase is reused.
+    Returns the list of discrepancies (empty means the certificate stands);
+    a tampered field is reported, not raised.  No state from the
+    construction phase is reused.
     """
     graph = pair.graph
     b = pair.coeff
@@ -446,6 +454,11 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
         return ["coefficient vectors do not cover the graph"]
     if cert.center not in bc:
         return [f"center {cert.center!r} is not a vertex of the graph"]
+    if cert.case not in ("plt", "non_plt"):
+        return [f"unknown case {cert.case!r}"]
+    unknown = sorted({*cert.gamma0, *cert.gamma_prime} - set(graph.ids))
+    if unknown:
+        return ["chain names unknown vertices " + ", ".join(map(str, unknown))]
     outside = sorted(v for v in graph.ids if not 0 <= Fraction(bs[v]) <= 1)
     if outside:
         return ["B* leaves [0, 1] at " + ", ".join(outside)]
@@ -457,6 +470,7 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     if report.checks["lc_not_klt"] and (cert.case == "plt") != report.classification.is_plt:
         problems.append("recorded case disagrees with the classification")
 
+    problems.extend(_surgery_problems(graph, cert))
     if not anti_nef_over_base(dot_against_exceptionals(graph, bs)):
         problems.append("K + B* pairs positively against some exceptional curve")
     for v in graph.ids:
@@ -466,35 +480,60 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     if not classify(bs_pair).is_plt:
         problems.append("pair with B* is not plt")
 
-    anchors = diff_on_component(bs_pair, cert.center)
+    anchors = tuple(diff_on_component(bs_pair, cert.center))
+    if anchors != cert.diff_anchors:
+        problems.append("recorded anchors disagree with the recomputation")
     values = tuple(val for _a, val in anchors)
     if values != cert.diff:
         problems.append("recorded different disagrees with the recomputation")
     nonzero = [val for val in values if val != 0]
     verdict = cert.fedder
-    if not (is_prime(cert.prime) and cert.prime > 5):
+    fc = verdict.certificate
+    prime_ok = is_prime(cert.prime) and cert.prime > 5
+    if not prime_ok:
         problems.append(f"characteristic {cert.prime} is not a prime > 5")
     if not verdict.is_regular:
         problems.append("stored verdict is not regular")
-    elif verdict.certificate is not None:
-        fc = verdict.certificate
-        if fc.p != cert.prime or not 1 <= fc.e <= cert.e_max:
-            problems.append(
-                f"stored witness is for p={fc.p}, e={fc.e}; "
-                f"the certificate claims p={cert.prime}, e <= {cert.e_max}"
-            )
-        else:
-            try:
-                p1 = P1Pair.from_coeffs(nonzero)
-            except ValueError as exc:
-                # A coefficient 1 or a fourth marked point: no Fedder test applies.
-                problems.append(f"the different is not a P1 pair: {exc}")
-            else:
-                if fedder_exponents(p1, fc.p, fc.e) != fc.a:
-                    problems.append("stored exponents disagree with the different")
-                if not verify_witness(fc.a, fc.witness[0], fc.witness[1], fc.p, fc.e):
-                    problems.append("stored witness monomial fails verification")
-    else:
+    elif fc is None:
         if len(nonzero) > 2:
             problems.append("toric verdict with more than two marked points")
+    elif fc.p != cert.prime or not 1 <= fc.e <= cert.e_max:
+        problems.append(
+            f"stored witness is for p={fc.p}, e={fc.e}; "
+            f"the certificate claims p={cert.prime}, e <= {cert.e_max}"
+        )
+    elif prime_ok:
+        try:
+            p1 = P1Pair.from_coeffs(nonzero)
+        except ValueError as exc:
+            # A coefficient 1 or a fourth marked point: no Fedder test applies.
+            problems.append(f"the different is not a P1 pair: {exc}")
+        else:
+            if fedder_exponents(p1, fc.p, fc.e) != fc.a:
+                problems.append("stored exponents disagree with the different")
+            elif len(fc.witness) != 2 or not verify_witness(fc.a, *fc.witness, fc.p, fc.e):
+                problems.append("stored witness monomial fails verification")
     return problems
+
+
+def _surgery_problems(graph, cert: GfrCertificate) -> list[str]:
+    """Whether B* is the surgery of Bc that the certificate records: the
+    chain replacement along gamma0 (plt), or the mix at epsilon with the
+    trivial-pairing solve off gamma_prime (non-plt)."""
+    bc = cert.bc
+    try:
+        if cert.case == "plt":
+            if cert.epsilon is not None or cert.gamma_prime:
+                return ["a plt certificate records a mix"]
+            expected = construct_bstar_plt(bc, cert.level, cert.gamma0) if cert.gamma0 else bc
+        else:
+            eps = cert.epsilon
+            if cert.gamma0 or eps is None or eps <= 0:
+                return ["a non-plt certificate needs an empty gamma0 and epsilon > 0"]
+            bsharp = _bsharp(graph, bc, cert.gamma_prime)
+            expected = {v: bc[v] + eps * (bsharp[v] - bc[v]) for v in graph.ids}
+    except (PipelineError, ValueError) as exc:
+        return [f"the recorded surgery cannot be replayed: {exc}"]
+    if expected != cert.bstar:
+        return ["B* is not the recorded surgery of Bc"]
+    return []

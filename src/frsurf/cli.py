@@ -134,7 +134,7 @@ def _cmd_complement(args) -> tuple[str, int]:
         tried = str(args.n)
     else:
         cert = comp_mod.minimal_complement(pair)
-        tried = "1,2,3,4,6"
+        tried = ",".join(map(str, comp_mod.LEVELS))
     if cert is None:
         payload = {"found": False, "levels_tried": tried}
         return (

@@ -3,12 +3,14 @@
 A graph models the resolution of a normal surface germ: vertices are smooth
 rational curves with self-intersection weights, edges carry intersection
 multiplicities, and a subset of vertices is marked exceptional (contracted
-over the base).  A log pair attaches a boundary coefficient in [0, 1] to
-every vertex.  All solves are exact.  The pairing matrix on a set of
-curves is factored once per graph by one symmetric elimination
-M = L D L^T (leaves first, so trees cause no fill-in): its pivots decide
-negative definiteness, and every trivial-pairing solve on that set is then
-an affine map in the fixed coefficients (`PairingLattice`).  `label` reads
+over the base).  On a resolution every self-intersection and every
+multiplicity is an integer, and `DualGraph` rejects any other weight.  A
+log pair attaches a boundary coefficient in [0, 1] to every vertex.  All
+solves are exact.  The pairing matrix on a set of curves is factored once
+per graph by one symmetric elimination M = L D L^T (leaves first, so trees
+cause no fill-in): its pivots decide negative definiteness, and every
+trivial-pairing solve on that set is then an affine map in the fixed
+coefficients (`PairingLattice`).  `label` reads
 terminal / canonical / klt / plt / lc off the boundary and the
 crepant-pullback coefficients; `classify` solves for those and labels.
 """
@@ -31,35 +33,39 @@ class NotNegativeDefiniteError(GraphError):
     pass
 
 
-def _as_weight(x):
+def _integer(x, what: str) -> int:
     f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
+    if f.denominator != 1:
+        raise GraphError(f"{what} must be an integer, got {format_rational(f)}")
+    return f.numerator
 
 
 @dataclass(frozen=True)
 class Vertex:
     id: str
-    self_int: int | Fraction
+    self_int: int
     exceptional: bool
 
 
 class DualGraph:
-    """Immutable weighted intersection graph; no self-loops, symmetric edges."""
+    """Immutable intersection graph with integer weights (an integral
+    Fraction is stored as an int); no self-loops, symmetric edges."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple] = ()):
         vs: dict[str, Vertex] = {}
         for v in vertices:
             if v.id in vs:
                 raise GraphError(f"duplicate vertex id {v.id!r}")
-            vs[v.id] = Vertex(v.id, _as_weight(v.self_int), bool(v.exceptional))
-        adj: dict[str, dict] = {vid: {} for vid in vs}
-        emap: dict[tuple[str, str], object] = {}
+            self_int = _integer(v.self_int, f"self-intersection of {v.id!r}")
+            vs[v.id] = Vertex(v.id, self_int, bool(v.exceptional))
+        adj: dict[str, dict[str, int]] = {vid: {} for vid in vs}
+        emap: dict[tuple[str, str], int] = {}
         for u, w, mult in edges:
             if u == w:
                 raise GraphError(f"self-loop at {u!r}")
             if u not in vs or w not in vs:
                 raise GraphError(f"edge {u!r}-{w!r} references an unknown vertex")
-            mult = _as_weight(mult)
+            mult = _integer(mult, f"multiplicity of edge {u!r}-{w!r}")
             if mult <= 0:
                 raise GraphError(f"edge {u!r}-{w!r} must have positive multiplicity")
             key = (u, w) if u <= w else (w, u)
@@ -99,14 +105,14 @@ class DualGraph:
         """Edges as (u, w, mult), sorted."""
         return [(u, w, self._edges[(u, w)]) for (u, w) in sorted(self._edges)]
 
-    def neighbors(self, vid: str) -> tuple[tuple[str, object], ...]:
+    def neighbors(self, vid: str) -> tuple[tuple[str, int], ...]:
         """(neighbor id, multiplicity) pairs, sorted by id."""
         try:
             return self._neighbors[vid]
         except KeyError:
             raise GraphError(f"unknown vertex {vid!r}") from None
 
-    def pairing(self, u: str, w: str):
+    def pairing(self, u: str, w: str) -> int:
         """Intersection number of the curve classes u and w."""
         if u == w:
             return self.vertex(u).self_int
@@ -167,7 +173,7 @@ class Classification:
     is_lc: bool
 
 
-def intersection_matrix(graph: DualGraph, subset=None) -> list[list]:
+def intersection_matrix(graph: DualGraph, subset=None) -> list[list[int]]:
     """Symmetric pairing matrix over sorted(subset) (all vertices if None)."""
     ids = graph.ids if subset is None else tuple(sorted(subset))
     for vid in ids:
@@ -236,9 +242,9 @@ def is_negative_definite(matrix) -> bool:
     return len(pivots) == n and all(d < 0 for d in pivots)
 
 
-def canonical_dot(graph: DualGraph, vid: str):
+def canonical_dot(graph: DualGraph, vid: str) -> int:
     """K . C for a rational curve C: adjunction gives -2 - C^2."""
-    return _as_weight(-2 - Fraction(graph.vertex(vid).self_int))
+    return -2 - graph.vertex(vid).self_int
 
 
 class PairingLattice:
@@ -260,7 +266,7 @@ class PairingLattice:
         n = len(unknowns)
         index = {v: i for i, v in enumerate(unknowns)}
         diag = [graph.vertex(v).self_int for v in unknowns]
-        off: dict[int, dict[int, object]] = {i: {} for i in range(n)}
+        off: dict[int, dict[int, int]] = {i: {} for i in range(n)}
         outside: dict[str, list] = {}
         for i, v in enumerate(unknowns):
             for w, mult in graph.neighbors(v):
@@ -424,9 +430,7 @@ def diff_on_component(pair: LogPair, component: str):
         )
     out = []
     for nbr, mult in pair.graph.neighbors(component):
-        if Fraction(mult).denominator != 1:
-            raise GraphError("different needs integral intersection multiplicities")
-        for idx in range(int(mult)):
+        for idx in range(mult):
             out.append(((nbr, idx), pair.coeff[nbr]))
     return out
 
@@ -453,7 +457,7 @@ def dot_against_exceptionals(
         val = Fraction(canonical_dot(graph, j))
         cj = Fraction(coeff.get(j, 0))
         if cj:
-            val += cj * Fraction(graph.vertex(j).self_int)
+            val += cj * graph.vertex(j).self_int
         for nbr, mult in graph.neighbors(j):
             c = Fraction(coeff.get(nbr, 0))
             if c:
@@ -464,46 +468,3 @@ def dot_against_exceptionals(
 
 def anti_nef_over_base(dots: Mapping[str, Fraction]) -> bool:
     return all(v <= 0 for v in dots.values())
-
-
-def contract_vertex(graph: DualGraph, vid: str) -> DualGraph:
-    """Blow down one curve of negative self-intersection.
-
-    The remaining pairings are updated by (u.w)' = u.w - (u.v)(w.v)/(v.v),
-    which stays exact but may leave rational weights.
-    """
-    v = graph.vertex(vid)
-    s = Fraction(v.self_int)
-    if s >= 0:
-        raise GraphError(
-            f"only a curve of negative self-intersection contracts, "
-            f"{vid!r} has {format_rational(s)}"
-        )
-    rest = [u for u in graph.ids if u != vid]
-    vertices = []
-    for u in rest:
-        corr = Fraction(graph.pairing(u, vid)) ** 2 / s
-        vertices.append(
-            Vertex(u, _as_weight(Fraction(graph.vertex(u).self_int) - corr), graph.vertex(u).exceptional)
-        )
-    edges = []
-    for i, u in enumerate(rest):
-        for w in rest[i + 1 :]:
-            new = Fraction(graph.pairing(u, w)) - Fraction(graph.pairing(u, vid)) * Fraction(
-                graph.pairing(w, vid)
-            ) / s
-            if new != 0:
-                edges.append((u, w, _as_weight(new)))
-    return DualGraph(vertices, edges)
-
-
-def terminalization_support(pair: LogPair) -> dict[str, Fraction]:
-    """Exceptional curves kept on the terminal model, with their coefficients.
-
-    These are exactly the divisors with b_E >= 0 (equivalently discrepancy
-    a_E <= 0); each survives with boundary coefficient b_E in [0, 1).
-    """
-    cls = classify(pair)
-    if not cls.is_klt:
-        raise GraphError(f"terminalization needs a klt pair, classified {cls.label}")
-    return {j: v for j, v in cls.b.items() if v >= 0}

@@ -8,12 +8,8 @@ together with 1 as the limiting case.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-Rational = Fraction
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -48,32 +44,6 @@ def is_standard(c) -> bool:
     if c < 0 or c > 1:
         raise ValueError(f"coefficient out of range [0, 1]: {c}")
     return c == 1 or c.numerator == c.denominator - 1
-
-
-def _values(coeffs) -> Iterable[Fraction]:
-    if isinstance(coeffs, Mapping):
-        return coeffs.values()
-    return coeffs
-
-
-def cartier_index(coeffs) -> int:
-    """Least positive m with m*c integral for every coefficient c.
-
-    Accepts a mapping id -> coefficient or a bare iterable of coefficients;
-    the empty collection has index 1.
-    """
-    index = 1
-    for c in _values(coeffs):
-        index = math.lcm(index, Fraction(c).denominator)
-    return index
-
-
-def p_divides_index(coeffs, p: int) -> bool:
-    """Whether the prime p divides the Cartier index of the coefficients."""
-    from .padic import require_prime
-
-    require_prime(p)
-    return cartier_index(coeffs) % p == 0
 
 
 def std_replace(num: int, den: int) -> Fraction:

@@ -327,6 +327,33 @@ def test_reverify_detects_tampering():
     toric = gfr_certificate(a1_tail(), 7)
     assert toric.fedder.toric
     assert reverify_certificate(a1_tail(), dataclasses.replace(toric, prime=9)) != []
+    # the recorded case, chains, epsilon and anchors must be the ones that built B*,
+    # and a malformed witness is reported, not raised
+    nonplt = nonplt_fork()
+    for germ, c, extra in (
+        (nonplt, gfr_certificate(nonplt, 7, e_max=6), (
+            ("case", "foo"), ("epsilon", None), ("gamma0", ("E1",)), ("gamma_prime", ()),
+            ("gamma_prime", ("E3",)))),
+        (pair, cert, (("epsilon", F(1, 2)), ("gamma0", ("D",)), ("gamma_prime", ("L",)))),
+    ):
+        fc = c.fedder.certificate
+        anchors = ((("Z", 0), c.diff_anchors[0][1]), *c.diff_anchors[1:])
+        for field, value in (
+            ("epsilon", F(7)),
+            ("gamma0", ("Q",)),
+            ("gamma_prime", ("Q",)),
+            ("diff_anchors", anchors),
+            ("fedder", dataclasses.replace(c.fedder, certificate=dataclasses.replace(fc, a=fc.a[:2]))),
+            ("fedder", dataclasses.replace(
+                c.fedder, certificate=dataclasses.replace(fc, witness=fc.witness[:1]))),
+            *extra,
+        ):
+            mutated = dataclasses.replace(c, **{field: value})
+            assert reverify_certificate(germ, mutated) != [], (field, value)
+        wrong_prime = dataclasses.replace(
+            c, prime=9, fedder=dataclasses.replace(c.fedder, certificate=dataclasses.replace(fc, p=9))
+        )
+        assert reverify_certificate(germ, wrong_prime) == ["characteristic 9 is not a prime > 5"]
 
 
 def test_certificate_serialization_round_trip():

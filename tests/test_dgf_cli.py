@@ -3,7 +3,8 @@ import json
 import pytest
 
 from frsurf.cli import main
-from frsurf.dgf import ParseError, parse_germ, render_germ
+from frsurf.corpus import random_corpus
+from frsurf.dgf import GermFile, ParseError, parse_germ, render_germ
 
 A1_TAIL = """\
 # A1 germ with a transversal carrier
@@ -39,6 +40,15 @@ def test_parse_round_trip():
     assert "boundary z\n" in canonical
     assert render_germ(parse_germ(canonical)) == canonical
     assert parse_germ(canonical).pair("z").coeff == {"E": 0, "L": 0}
+
+
+def test_render_parse_round_trip_over_corpus():
+    for pair in random_corpus(1, 300):
+        graph = pair.graph
+        back = parse_germ(render_germ(GermFile(graph=graph, coeff=pair.coeff)))
+        assert [back.graph.vertex(v) for v in back.graph.ids] == [graph.vertex(v) for v in graph.ids]
+        assert back.graph.edges() == graph.edges()
+        assert back.pair().coeff == pair.coeff
 
 
 def test_parse_errors_carry_line_numbers():

@@ -15,7 +15,6 @@ from frsurf.graphs import (
     adjunction_degree,
     canonical_dot,
     classify,
-    contract_vertex,
     diff_on_component,
     dot_against_exceptionals,
     anti_nef_over_base,
@@ -23,7 +22,6 @@ from frsurf.graphs import (
     is_negative_definite,
     pullback_coefficients,
     solve_trivial_pairing,
-    terminalization_support,
 )
 
 
@@ -60,6 +58,16 @@ def test_graph_validation():
             [Vertex("a", -2, True), Vertex("b", -2, True)],
             [("a", "b", 1), ("b", "a", 1)],
         )
+
+
+def test_graph_weights_are_integers():
+    with pytest.raises(GraphError, match="self-intersection"):
+        DualGraph([Vertex("a", F(-3, 2), True)])
+    with pytest.raises(GraphError, match="multiplicity"):
+        DualGraph([Vertex("a", -2, True), Vertex("b", -2, True)], [("a", "b", F(1, 2))])
+    g = DualGraph([Vertex("a", F(-2), True), Vertex("b", -2, True)], [("a", "b", F(1))])
+    assert type(g.vertex("a").self_int) is int and g.vertex("a").self_int == -2
+    assert type(g.pairing("a", "b")) is int and g.pairing("a", "b") == 1
 
 
 def test_intersection_matrix_rejects_unknown_ids():
@@ -287,80 +295,6 @@ def test_dot_against_exceptionals():
     dots = dot_against_exceptionals(g2, {"v1": F(1, 3)})
     assert dots["v1"] == 0  # (K + C/3) . C = 1 - 1 = 0
     assert anti_nef_over_base(dots)
-
-
-def test_contract_vertex_examples():
-    g = chain([-2, -1])
-    g2 = contract_vertex(g, "v2")
-    assert g2.vertex("v1").self_int == -1
-    g = chain([-2, -2])
-    g2 = contract_vertex(g, "v2")
-    assert g2.vertex("v1").self_int == F(-3, 2)
-    g = DualGraph([Vertex("a", -1, True), Vertex("b", -2, True)])
-    g2 = contract_vertex(g, "a")
-    assert g2.ids == ("b",)
-    with pytest.raises(GraphError):
-        contract_vertex(DualGraph([Vertex("a", 0, True)]), "a")
-
-
-def test_contract_creates_new_edges():
-    # two curves meeting a middle (-1): after contraction they meet each other
-    g = chain([-2, -1, -2])
-    g2 = contract_vertex(g, "v2")
-    assert g2.pairing("v1", "v3") == 1
-    assert g2.vertex("v1").self_int == -1
-    assert g2.vertex("v3").self_int == -1
-
-
-def test_contract_conservation():
-    # pairings of classes orthogonal to v are preserved
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randint(2, 5)
-        vs = [Vertex(f"v{i}", rng.choice([-1, -2, -3]), True) for i in range(1, n + 1)]
-        es = []
-        for i in range(1, n):
-            if rng.random() < 0.8:
-                es.append((f"v{i}", f"v{i+1}", rng.choice([1, 1, 2])))
-        g = DualGraph(vs, es)
-        vid = f"v{rng.randint(1, n)}"
-        rest = [u for u in g.ids if u != vid]
-        if not rest:
-            continue
-        g2 = contract_vertex(g, vid)
-
-        def dot(graph, x, y):
-            return sum(
-                x.get(u, 0) * y.get(w, 0) * F(graph.pairing(u, w))
-                for u in x
-                for w in y
-            )
-
-        for _trial in range(4):
-            x = {u: F(rng.randint(-2, 2)) for u in rest}
-            y = {u: F(rng.randint(-2, 2)) for u in rest}
-            # project orthogonal to the contracted vertex
-            s = F(g.vertex(vid).self_int)
-            x = dict(x)
-            y = dict(y)
-            xv = sum(x[u] * F(g.pairing(u, vid)) for u in rest)
-            yv = sum(y[u] * F(g.pairing(u, vid)) for u in rest)
-            x[vid] = -xv / s
-            y[vid] = -yv / s
-            lhs = dot(g, x, y)
-            rhs = dot(g2, {u: x[u] for u in rest}, {u: y[u] for u in rest})
-            assert lhs == rhs
-
-
-def test_terminalization_support_examples():
-    pair = LogPair(chain([-2]), {})
-    assert terminalization_support(pair) == {"v1": 0}
-    pair = LogPair(chain([-1]), {})
-    assert terminalization_support(pair) == {}
-    g = DualGraph([Vertex("E", -2, True), Vertex("L", 0, False)], [("E", "L", 1)])
-    assert terminalization_support(LogPair(g, {"L": F(1, 2)})) == {"E": F(1, 4)}
-    with pytest.raises(GraphError):
-        terminalization_support(LogPair(g, {"L": 1}))  # plt, not klt
 
 
 def test_du_val_sweep():

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frsurf.rationals import (
-    cartier_index,
-    format_rational,
-    is_standard,
-    p_divides_index,
-    parse_rational,
-    std_replace,
-)
+from frsurf.rationals import format_rational, is_standard, parse_rational, std_replace
 
 
 def test_is_standard_examples():
@@ -36,27 +29,6 @@ def test_is_standard_iff_reduced_shape(num, den):
     c = F(num, den)
     expected = c == 1 or c.numerator == c.denominator - 1
     assert is_standard(c) == expected
-
-
-def test_cartier_index_examples():
-    assert cartier_index({"a": F(1, 2), "b": F(2, 3)}) == 6
-    assert cartier_index({}) == 1
-    assert cartier_index([F(5, 6), F(3, 4)]) == 12
-
-
-@given(st.lists(st.fractions(min_value=0, max_value=1), max_size=8))
-def test_cartier_index_invariant_under_order_and_duplication(vals):
-    idx = cartier_index(vals)
-    assert cartier_index(list(reversed(vals))) == idx
-    assert cartier_index(vals + vals) == idx
-
-
-def test_p_divides_index_examples():
-    assert not p_divides_index([F(1, 2), F(2, 3)], 7)
-    assert p_divides_index([F(6, 7)], 7)
-    assert p_divides_index([F(5, 6)], 3)
-    with pytest.raises(ValueError):
-        p_divides_index([F(1, 2)], 6)
 
 
 def test_std_replace_examples():
