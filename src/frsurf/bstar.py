@@ -532,7 +532,7 @@ def _surgery_problems(graph, cert: GfrCertificate) -> list[str]:
                 return ["a non-plt certificate needs an empty gamma0 and epsilon > 0"]
             bsharp = _bsharp(graph, bc, cert.gamma_prime)
             expected = {v: bc[v] + eps * (bsharp[v] - bc[v]) for v in graph.ids}
-    except (PipelineError, ValueError) as exc:
+    except (PipelineError, ValueError, TypeError) as exc:
         return [f"the recorded surgery cannot be replayed: {exc}"]
     if expected != cert.bstar:
         return ["B* is not the recorded surgery of Bc"]

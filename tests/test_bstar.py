@@ -332,8 +332,8 @@ def test_reverify_detects_tampering():
     nonplt = nonplt_fork()
     for germ, c, extra in (
         (nonplt, gfr_certificate(nonplt, 7, e_max=6), (
-            ("case", "foo"), ("epsilon", None), ("gamma0", ("E1",)), ("gamma_prime", ()),
-            ("gamma_prime", ("E3",)))),
+            ("case", "foo"), ("epsilon", None), ("epsilon", "1/2"),
+            ("gamma0", ("E1",)), ("gamma_prime", ()), ("gamma_prime", ("E3",)))),
         (pair, cert, (("epsilon", F(1, 2)), ("gamma0", ("D",)), ("gamma_prime", ("L",)))),
     ):
         fc = c.fedder.certificate
