@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complements import ComplementHypothesisError, minimal_complement, verify_complement
+from .complements import LEVELS, ComplementHypothesisError, minimal_complement, verify_complement
 from .fedder import (
     FRegVerdict,
     P1Pair,
@@ -327,6 +327,10 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         raise PipelineError(
             "hypotheses", "hypothesis", f"characteristic must be a prime > 5, got {p}"
         )
+    if not (_is_int(e_max) and e_max >= 1):
+        raise PipelineError(
+            "hypotheses", "hypothesis", f"e_max must be a positive integer, got {e_max}"
+        )
     try:
         comp = minimal_complement(pair)
     except ComplementHypothesisError as exc:
@@ -335,7 +339,8 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         raise PipelineError(
             "complement",
             "search",
-            "no complement of level 1, 2, 3, 4 or 6 on the coefficient grid",
+            f"no complement of level {', '.join(map(str, LEVELS[:-1]))} or {LEVELS[-1]} "
+            "on the coefficient grid",
         )
     bc = comp.coeffs
     level = comp.level
@@ -445,6 +450,9 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     a tampered field is reported, not raised.  No state from the
     construction phase is reused.
     """
+    mistyped = _type_problems(cert)
+    if mistyped:
+        return mistyped
     graph = pair.graph
     b = pair.coeff
     bc = cert.bc
@@ -511,8 +519,36 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
         else:
             if fedder_exponents(p1, fc.p, fc.e) != fc.a:
                 problems.append("stored exponents disagree with the different")
-            elif len(fc.witness) != 2 or not verify_witness(fc.a, *fc.witness, fc.p, fc.e):
+            elif not verify_witness(fc.a, *fc.witness, fc.p, fc.e):
                 problems.append("stored witness monomial fails verification")
+    return problems
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _type_problems(cert: GfrCertificate) -> list[str]:
+    """Scalar fields of the wrong type, and an e_max below 1: the checks of
+    `reverify_certificate` would raise on them rather than report them."""
+    problems = [
+        f"{name} {getattr(cert, name)!r} is not an integer"
+        for name in ("level", "prime", "e_max")
+        if not _is_int(getattr(cert, name))
+    ]
+    if _is_int(cert.e_max) and cert.e_max < 1:
+        problems.append(f"e_max {cert.e_max} is below 1")
+    if not isinstance(cert.center, str):
+        problems.append(f"center {cert.center!r} is not a vertex name")
+    fc = cert.fedder.certificate
+    if fc is not None:
+        for name in ("p", "e"):
+            if not _is_int(getattr(fc, name)):
+                problems.append(f"stored witness {name}={getattr(fc, name)!r} is not an integer")
+        for name, label, size in (("a", "exponents", 3), ("witness", "witness monomial", 2)):
+            value = getattr(fc, name)
+            if not (isinstance(value, tuple) and len(value) == size and all(map(_is_int, value))):
+                problems.append(f"stored {label} {value!r} is not {size} integers")
     return problems
 
 

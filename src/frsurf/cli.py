@@ -30,6 +30,8 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
+_LEVELS = ",".join(map(str, comp_mod.LEVELS))
+
 _PIPELINE_EXITS = {
     "hypothesis": EXIT_INPUT,
     "structure": EXIT_INPUT,
@@ -134,7 +136,7 @@ def _cmd_complement(args) -> tuple[str, int]:
         tried = str(args.n)
     else:
         cert = comp_mod.minimal_complement(pair)
-        tried = ",".join(map(str, comp_mod.LEVELS))
+        tried = _LEVELS
     if cert is None:
         payload = {"found": False, "levels_tried": tried}
         return (
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("discrepancies", _cmd_discrepancies, germ=True, boundary=True, help="crepant pullback and discrepancies")
     add("negdef", _cmd_negdef, germ=True, help="negative definiteness of the exceptional lattice")
     c = add("complement", _cmd_complement, germ=True, boundary=True, help="search for an N-complement")
-    c.add_argument("--n", type=int, default=None, help="fixed level (default: minimal over 1,2,3,4,6)")
+    c.add_argument("--n", type=int, default=None, help=f"fixed level (default: minimal over {_LEVELS})")
     bs = add("bstar", _cmd_bstar, germ=True, boundary=True, help="full F-regularity certificate pipeline")
     bs.add_argument("--p", default=None, help="comma-separated primes (default: the germ file's prime line)")
     bs.add_argument("--e-max", type=int, default=4, dest="e_max")

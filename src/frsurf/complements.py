@@ -82,7 +82,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
 
     checks["level"] = level in LEVELS
     if not checks["level"]:
-        details.append(f"level {level} is not in {{1,2,3,4,6}}")
+        details.append(f"level {level} is not in {{{','.join(map(str, LEVELS))}}}")
 
     bad = sorted(v for v in bc if bc[v] < b[v])
     checks["dominates"] = not bad

@@ -4,7 +4,10 @@ With the marked points normalized to 0, infinity and 1, the pair passes at
 Frobenius exponent e when x^a1 y^a2 (x+y)^a3, with a_i = ceil((p^e - 1) c_i),
 contains a monomial x^i y^j with i, j <= p^e - 2.  Expanding (x+y)^a3 turns
 this into a Lucas digit-dominance condition on k = i - a1, so certificates
-are found by the dominance search instead of polynomial expansion.
+are found by the dominance search instead of polynomial expansion.  The
+search reads the digits of a3 and of the least admissible k off the base-p
+expansions of c3 and c2 + c3 - 1 (`test_at`); `verify_witness` re-checks a
+witness from digits extracted from the integers, so it stays independent.
 
 The monomial condition is sufficient, not known to be necessary, so failure
 up to e_max reports "inconclusive"; only the degree precheck (coefficient
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import binom_mod_p, ceil_mul, exists_dominated_in_interval, require_prime
+from .padic import _least_dominated, binom_mod_p, ceil_mul, expansion_digits, require_prime
 
 REGULAR = "regular"
 NOT_REGULAR = "not_regular"
@@ -107,11 +110,16 @@ def verdict_from_payload(payload: dict) -> FRegVerdict:
 
 def fedder_exponents(pair: P1Pair, p: int, e: int) -> tuple[int, int, int]:
     """The exponents a_i = ceil((p^e - 1) c_i)."""
+    return _power_and_exponents(pair, p, e)[1]
+
+
+def _power_and_exponents(pair: P1Pair, p: int, e: int):
+    """p^e and the exponents, so that `test_at` computes p^e once."""
     require_prime(p)
     if e < 1:
         raise ValueError(f"Frobenius exponent must be positive, got {e}")
-    m = p**e - 1
-    return tuple(ceil_mul(c, m) for c in pair.coeffs)
+    power = p**e
+    return power, tuple(ceil_mul(c, power - 1) for c in pair.coeffs)
 
 
 def verify_witness(a, i: int, j: int, p: int, e: int) -> bool:
@@ -135,15 +143,38 @@ def verify_witness(a, i: int, j: int, p: int, e: int) -> bool:
 def test_at(pair: P1Pair, p: int, e: int) -> FRegCertificate | None:
     """Search for a certificate at a fixed Frobenius exponent e.
 
-    Monomial existence reduces to a dominated k = i - a1 in
-    [a2 + a3 - (p^e - 2), p^e - 2 - a1] intersected with [0, a3]; the
-    smallest such k gives the canonical witness.
+    Monomial existence reduces to a dominated k = i - a1 in [lo, hi], where
+    lo = max(0, a2 + a3 - (p^e - 2)) and hi = min(a3, p^e - 2 - a1); the
+    smallest such k gives the canonical witness.  lo = 0 gives k = 0, which
+    every a3 dominates.  Otherwise the digits of a3 and lo are read off
+    base-p expansions by `expansion_digits`, with no big-integer division,
+    because each lies just above D = floor(p^e c) for a c in [0, 1):
+
+    - c = c3 = r/s: a3 = D + [rho_e > r] with rho_e = p^e r mod s, since
+      a3 = ceil(D + (rho_e - r)/s);
+    - c = max(0, c2 + c3 - 1): lo - D is in {1, 2, 3}, since a2 + a3 lies
+      in [(p^e - 1)(c2 + c3), (p^e - 1)(c2 + c3) + 2).  (lo > 0 with
+      c2 + c3 < 1 needs p^e < 3 s2 s3, and then D = 0.)
     """
-    a1, a2, a3 = fedder_exponents(pair, p, e)
-    cap = p**e - 2
+    power, (a1, a2, a3) = _power_and_exponents(pair, p, e)
+    cap = power - 2
     lo = max(0, a2 + a3 - cap)
     hi = min(a3, cap - a1)
-    k = exists_dominated_in_interval(a3, lo, hi, p, e)
+    if hi < lo:
+        return None
+    if lo == 0:
+        k = 0
+    else:
+        c2, c3 = pair.coeffs[1:]
+        r2, s2, r3, s3 = c2.numerator, c2.denominator, c3.numerator, c3.denominator
+        r = max(0, r2 * s3 + r3 * s2 - s2 * s3)
+        k = _least_dominated(
+            expansion_digits(a3, r3, s3, p, e, power),
+            expansion_digits(lo, r, s2 * s3, p, e, power),
+            lo,
+            hi,
+            p,
+        )
     if k is None:
         return None
     return FRegCertificate(p=p, e=e, a=(a1, a2, a3), witness=(a1 + k, a2 + a3 - k))
@@ -152,6 +183,8 @@ def test_at(pair: P1Pair, p: int, e: int) -> FRegCertificate | None:
 def is_globally_F_regular(pair: P1Pair, p: int, e_max: int = 4) -> FRegVerdict:
     """Three-valued verdict: regular, definitely not, or inconclusive at e_max."""
     require_prime(p)
+    if e_max < 1:
+        raise ValueError(f"e_max must be at least 1, got {e_max}")
     if pair.degree >= 2:
         return FRegVerdict(
             NOT_REGULAR,

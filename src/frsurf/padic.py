@@ -1,17 +1,22 @@
 """Base-p digit combinatorics.
 
 Lucas residues, exact ceilings of rational multiples, and a digit-dominance
-search returning the least k in an interval with C(a, k) != 0 mod p.  Both
-the residues and the search read base-p digit vectors from one
-divide-and-conquer extraction, `digits_fixed`, and then make one pass over
-the digits (never a scan of the interval), so exponents with 10^5 base-p
-digits are fine.
+search returning the least k in an interval with C(a, k) != 0 mod p.  Digit
+vectors come from two sources: the divide-and-conquer extraction
+`digits_fixed`, which works for any integer, and `expansion_digits`, which
+reads the digits of an integer just above floor(p^e r / s) off the periodic
+base-p expansion of r/s without dividing big integers.  Lucas residues read
+`digits_fixed` above the p-adic valuation of k; the search reads either
+source and then makes one pass over the digits (never a scan of the
+interval), so exponents with 10^5 base-p digits are fine.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, count
+from operator import gt, lt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -102,15 +107,66 @@ def digits_fixed(n: int, p: int, e: int, _cache: dict | None = None) -> list[int
     return out
 
 
+def expansion_digits(n: int, r: int, s: int, p: int, e: int, power: int) -> list[int]:
+    """Little-endian base-p digits of n, exactly e of them, for n just above
+    D = floor(p^e r / s), where 0 <= r < s and power = p^e.
+
+    Read from the top, the digits of D are the first e digits of the base-p
+    expansion of r/s: d_t = floor(p rho_{t-1} / s) and rho_t = p rho_{t-1}
+    mod s, with rho_0 = r.  The remainders repeat within s steps, so the
+    digits are a prefix followed by a repeated cycle, built by list
+    repetition.  Then n - D, computed exactly in linear time, is added with
+    a carry; it should be small, since each unit costs a pass of the carry
+    loop.  Raises ValueError if n < D or n >= p^e.
+    """
+    if not 0 <= r < s:
+        raise ValueError(f"{r}/{s} is not in [0, 1)")
+    if n >= power:
+        raise ValueError(f"{n} is not representable with {e} base-{p} digits")
+    delta = n - power * r // s
+    if delta < 0:
+        raise ValueError(f"{n} lies below floor({p}^{e} * {r}/{s})")
+    top: list[int] = []
+    seen: dict[int, int] = {}
+    rho = r
+    while len(top) < e and rho not in seen:
+        seen[rho] = len(top)
+        d, rho = divmod(p * rho, s)
+        top.append(d)
+    if len(top) < e:
+        cycle = top[seen[rho]:]
+        reps, rest = divmod(e - len(top), len(cycle))
+        top += cycle * reps + cycle[:rest]
+    digits = top[::-1]
+    i = 0
+    while delta:
+        delta, digits[i] = divmod(delta + digits[i], p)
+        i += 1
+    return digits
+
+
+def _digit_count(n: int, p: int, cache: dict) -> int:
+    """The number of base-p digits of n >= 0 (0 for n = 0)."""
+    # A lower bound from the bit length, raised until p^e > n.
+    e = max(0, int((n.bit_length() - 1) / math.log2(p)))
+    while _power(p, e, cache) <= n:
+        e += 1
+    return e
+
+
 def binom_mod_p(n: int, k: int, p: int) -> int:
     """C(n, k) mod p by Lucas' theorem.
 
     The residue is the product of C(n_i, k_i) mod p over the base-p digits
-    n_i, k_i.  Both digit vectors come from `digits_fixed`, sized to the
-    number of base-p digits of n, so a 10^5-digit n costs about what the
-    dominance search costs, not O(e^2).  Never touches a factorial of a big
-    argument; each factor is a binomial of two digits below p.  Returns 0
-    when k > n.
+    n_i, k_i.  If p^t divides k, the low t digits of k are 0 and contribute
+    C(n_i, 0) = 1, so C(n, k) = C(n // p^t, k // p^t) mod p; with E the
+    digit count of n, g = gcd(k, p^E) = p^t strips those digits first.  The
+    gcd is skipped when p does not divide k: nothing is stripped then, and
+    on a long k it costs about as much as extracting the digits.  Both
+    remaining digit vectors come from
+    `digits_fixed`, so a 10^5-digit n costs about what the dominance search
+    costs, not O(e^2).  Never touches a factorial of a big argument; each
+    factor is a binomial of two digits below p.  Returns 0 when k > n.
     """
     require_prime(p)
     if n < 0 or k < 0:
@@ -118,10 +174,11 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
     if k > n:
         return 0
     cache: dict = {}
-    # A lower bound on the digit count of n, raised until p^e > n.
-    e = max(0, int((n.bit_length() - 1) / math.log2(p)))
-    while _power(p, e, cache) <= n:
-        e += 1
+    e = _digit_count(n, p, cache)
+    if k % p == 0:
+        g = math.gcd(k, _power(p, e, cache))
+        n, k = n // g, k // g
+        e = _digit_count(n, p, cache)
     acc = 1
     for nd, kd in zip(digits_fixed(n, p, e, cache), digits_fixed(k, p, e, cache)):
         if kd > nd:
@@ -131,14 +188,36 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
     return acc
 
 
+def _least_dominated(digits_a: list, digits_lo: list, lo: int, hi: int, p: int):
+    """Least k in [lo, hi] whose digits are <= a's, from the e-digit
+    little-endian vectors of a and lo, or None.
+
+    lo itself qualifies unless some digit of lo exceeds a's.  Otherwise, at
+    the highest such position f, k must exceed lo there or above: the least
+    such k bumps lo's digit at the lowest position above f where it is below
+    a's, keeps the digits above and zeroes those below.  Both comparisons
+    are a `map` over the digit lists, so they run at C speed.
+    """
+    e = len(digits_a)
+    over = next(compress(count(), map(gt, reversed(digits_lo), reversed(digits_a))), None)
+    if over is None:
+        return lo
+    f = e - 1 - over
+    bump = next(compress(count(f + 1), map(lt, digits_lo[f + 1:], digits_a[f + 1:])), None)
+    if bump is None:
+        return None
+    step = p**bump
+    k = (lo // step + 1) * step
+    return k if k <= hi else None
+
+
 def exists_dominated_in_interval(a: int, lo: int, hi: int, p: int, e: int):
     """Least k in [lo, hi] whose base-p digits are <= a's pointwise, or None.
 
     Digit dominance is exactly C(a, k) != 0 mod p (Lucas).  lo and hi are
-    clamped to [0, p^e - 1]; an empty interval yields None.  One pass over
-    the e digit positions: walk from the most significant digit of lo,
-    remember the lowest position where lo's digit could be bumped within
-    a's digit, and either accept lo itself or bump-and-zero below.
+    clamped to [0, p^e - 1]; an empty interval yields None, and lo = 0
+    yields 0, which every a dominates.  Otherwise the digits of a and lo
+    come from `digits_fixed` and one pass over them decides.
     """
     require_prime(p)
     if e < 1:
@@ -151,20 +230,8 @@ def exists_dominated_in_interval(a: int, lo: int, hi: int, p: int, e: int):
     hi = min(hi, cap)
     if hi < lo:
         return None
-    digits_a = digits_fixed(a, p, e, cache)
-    digits_lo = digits_fixed(lo, p, e, cache)
-    bump = None
-    failed = False
-    for i in range(e - 1, -1, -1):
-        if digits_lo[i] > digits_a[i]:
-            failed = True
-            break
-        if digits_lo[i] < digits_a[i]:
-            bump = i
-    if not failed:
-        return lo
-    if bump is None:
-        return None
-    step = _power(p, bump, cache)
-    k = (lo // step + 1) * step
-    return k if k <= hi else None
+    if lo == 0:
+        return 0
+    return _least_dominated(
+        digits_fixed(a, p, e, cache), digits_fixed(lo, p, e, cache), lo, hi, p
+    )

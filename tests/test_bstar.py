@@ -313,6 +313,14 @@ def test_reverify_detects_tampering():
         ("center", "A"),
         ("bstar", {**cert.bstar, "L": F(3, 2)}),
         ("bstar", {**cert.bstar, "A": F(1)}),
+        # wrongly typed fields are reported, not raised
+        ("prime", "7"),
+        ("prime", True),
+        ("level", "6"),
+        ("level", 2.0),
+        ("e_max", "6"),
+        ("e_max", -2),
+        ("center", ["A"]),
     ):
         mutated = dataclasses.replace(cert, **{field: value})
         assert reverify_certificate(pair, mutated) != [], (field, value)
@@ -327,6 +335,9 @@ def test_reverify_detects_tampering():
     toric = gfr_certificate(a1_tail(), 7)
     assert toric.fedder.toric
     assert reverify_certificate(a1_tail(), dataclasses.replace(toric, prime=9)) != []
+    for value in ("6", 0, -2, 6.0):
+        mutated = dataclasses.replace(toric, e_max=value)
+        assert reverify_certificate(a1_tail(), mutated) != [], value
     # the recorded case, chains, epsilon and anchors must be the ones that built B*,
     # and a malformed witness is reported, not raised
     nonplt = nonplt_fork()
@@ -346,6 +357,14 @@ def test_reverify_detects_tampering():
             ("fedder", dataclasses.replace(c.fedder, certificate=dataclasses.replace(fc, a=fc.a[:2]))),
             ("fedder", dataclasses.replace(
                 c.fedder, certificate=dataclasses.replace(fc, witness=fc.witness[:1]))),
+            *(
+                ("fedder", dataclasses.replace(
+                    c.fedder, certificate=dataclasses.replace(fc, **{name: value})))
+                for name, value in (
+                    ("e", "1"), ("p", 7.0), ("a", list(fc.a)), ("a", (*fc.a[:2], "0")),
+                    ("witness", (*fc.witness[:1], 1.0)),
+                )
+            ),
             *extra,
         ):
             mutated = dataclasses.replace(c, **{field: value})
@@ -367,6 +386,16 @@ def test_certificate_serialization_round_trip():
     restored = certificate_from_payload(payload)
     assert restored == cert
     assert reverify_certificate(pair, restored) == []
+    # a string where JSON should carry a number is reported, not raised
+    restored = certificate_from_payload({**payload, "p": "7"})
+    assert reverify_certificate(pair, restored) == ["prime '7' is not an integer"]
+
+
+def test_gfr_rejects_e_max_below_one():
+    for e_max in (0, -2):
+        with pytest.raises(PipelineError) as err:
+            gfr_certificate(a1_tail(), 7, e_max=e_max)
+        assert (err.value.stage, err.value.kind) == ("hypotheses", "hypothesis")
 
 
 def test_nonplt_diff_shape():

@@ -171,6 +171,19 @@ def test_cli_fregular(capsys):
     assert "inconclusive" in out
 
 
+def test_cli_rejects_e_max_below_one(tmp_path, capsys):
+    code, out = _run(
+        capsys, "fregular-p1", "--coeffs", "1/2,2/3,3/4", "--p", "7", "--e-max", "0"
+    )
+    assert code == 3
+    assert out.startswith("error:")
+    f = tmp_path / "a1.dgf"
+    f.write_text(A1_TAIL)
+    code, out = _run(capsys, "bstar", str(f), "--p", "7", "--e-max", "-2")
+    assert code == 3
+    assert "failed at stage hypotheses" in out
+
+
 def test_cli_hara(capsys):
     code, out = _run(capsys, "hara", "--p", "7,11,13,17,19,23,29")
     assert code == 0

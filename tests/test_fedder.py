@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +17,7 @@ from frsurf.fedder import (
     is_globally_F_regular,
     verify_witness,
 )
-from frsurf.padic import binom_mod_p
+from frsurf.padic import binom_mod_p, exists_dominated_in_interval
 
 
 def test_pair_validation():
@@ -67,6 +69,48 @@ def test_test_at_zero_boundary():
     assert cert.witness == (0, 0)
 
 
+def _digit_search_witness(pair, p, e):
+    """The oracle for `test_at`: the least dominated k found from the
+    extracted digits of a3 and lo by `exists_dominated_in_interval`."""
+    a1, a2, a3 = fedder_exponents(pair, p, e)
+    cap = p**e - 2
+    k = exists_dominated_in_interval(a3, a2 + a3 - cap, min(a3, cap - a1), p, e)
+    return None if k is None else (a1 + k, a2 + a3 - k)
+
+
+def _witness(pair, p, e):
+    cert = fedder.test_at(pair, p, e)
+    return None if cert is None else cert.witness
+
+
+def test_test_at_matches_digit_search_on_grid():
+    values = sorted({F(m, n) for n in range(1, 10) for m in range(n)})
+    triples = [t for t in itertools.combinations_with_replacement(values, 3) if sum(t) < 2]
+    for p in (7, 11, 13):
+        for t in triples:
+            pair = P1Pair.from_coeffs(t)
+            for e in (1, 2, 3, 12):
+                assert _witness(pair, p, e) == _digit_search_witness(pair, p, e), (t, p, e)
+
+
+def test_test_at_matches_digit_search_at_large_e():
+    rng = random.Random(20261019)
+    values = [F(1, 2), F(2, 3), F(3, 4), F(4, 5), F(5, 6), F(2, 5), F(1, 3), F(6, 7), F(7, 11)]
+    triples = [t for t in itertools.product(values, repeat=3) if sum(t) < 2]
+    for p in (7, 11, 13, 101):
+        for _ in range(6):
+            pair = P1Pair.from_coeffs(rng.choice(triples))
+            e = rng.randint(1, 2 * 10**4)
+            assert _witness(pair, p, e) == _digit_search_witness(pair, p, e), (pair, p, e)
+
+
+def test_test_at_matches_digit_search_on_reference_cases():
+    for case, p in REFERENCE_WITNESSES:
+        pair = {"D1": CASE_D1, "D2": CASE_D2}[case]
+        witness = _witness(pair, p, 2)
+        assert witness is not None and witness == _digit_search_witness(pair, p, 2), (case, p)
+
+
 def test_verdict_degree_precheck():
     pair = P1Pair.from_coeffs([F(1, 2), F(2, 3), F(5, 6)])
     for p in (7, 11, 97):
@@ -91,6 +135,13 @@ def test_verdict_regular_with_certificate():
 def test_monotone_e_coherence():
     for e_max in (2, 3, 6):
         assert is_globally_F_regular(CASE_D1, 7, e_max).is_regular
+
+
+def test_verdict_rejects_e_max_below_one():
+    for pair in (CASE_D1, P1Pair.from_coeffs([F(1, 2)])):
+        for e_max in (0, -2):
+            with pytest.raises(ValueError):
+                is_globally_F_regular(pair, 7, e_max)
 
 
 def test_inconclusive_is_not_negative():

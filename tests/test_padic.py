@@ -11,6 +11,7 @@ from frsurf.padic import (
     ceil_mul,
     digits_fixed,
     exists_dominated_in_interval,
+    expansion_digits,
     is_prime,
 )
 
@@ -105,6 +106,58 @@ def test_binom_matches_lucas_reference_at_digit_boundaries():
             for n in (top - 1, top, top + 1):
                 for k in (0, 1, p - 1, top - 1, top, n, n + 1, n // 3):
                     assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p), (e, p)
+
+
+@settings(max_examples=300)
+@given(
+    p=st.sampled_from([2, 7, 11, 101]),
+    t=st.integers(0, 60),
+    m=st.integers(1, 10**40),
+    slack=st.integers(0, 10**40),
+)
+@example(p=7, t=0, m=1, slack=0)
+@example(p=7, t=40, m=7**5, slack=0)
+def test_binom_above_valuation_matches_lucas_reference(p, t, m, slack):
+    k = m * p**t
+    n = k + slack
+    assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p)
+    assert binom_mod_p(n, 0, p) == _lucas_reference(n, 0, p) == 1
+    assert binom_mod_p(n, n, p) == _lucas_reference(n, n, p) == 1
+
+
+@settings(max_examples=300)
+@given(
+    p=st.sampled_from([2, 7, 11, 101]),
+    e=st.integers(1, 300),
+    s=st.integers(1, 400),
+    data=st.data(),
+)
+@example(p=7, e=5, s=1, data=None)
+def test_expansion_digits_match_extraction(p, e, s, data):
+    r = data.draw(st.integers(0, s - 1)) if data is not None else 0
+    power = p**e
+    low = power * r // s
+    top = data.draw(st.integers(0, 5)) if data is not None else 3
+    for n in range(low, min(low + top, power - 1) + 1):
+        assert expansion_digits(n, r, s, p, e, power) == digits_fixed(n, p, e)
+
+
+def test_expansion_digits_carry_and_errors():
+    # 1/6 = 0.1111... in base 7, so D = floor(7^5 / 6) = 11111 in base 7
+    power = 7**5
+    assert expansion_digits(power // 6, 1, 6, 7, 5, power) == [1] * 5
+    assert expansion_digits(power // 6 + 8, 1, 6, 7, 5, power) == [2, 2, 1, 1, 1]
+    # r/s = 16806/16807 = 0.66666 in base 7: D = 7^5 - 1, the largest 5-digit n
+    assert expansion_digits(power - 1, power - 1, power, 7, 5, power) == [6] * 5
+    # D = 16666 in base 7, and n = D + 1 carries through four digits
+    r = 2 * 7**4 - 1
+    assert expansion_digits(r + 1, r, power, 7, 5, power) == [0, 0, 0, 0, 2]
+    with pytest.raises(ValueError):
+        expansion_digits(power // 6 - 1, 1, 6, 7, 5, power)  # n - D < 0
+    with pytest.raises(ValueError):
+        expansion_digits(power, 1, 6, 7, 5, power)  # n >= p^e
+    with pytest.raises(ValueError):
+        expansion_digits(10, 6, 6, 7, 5, power)  # r/s not in [0, 1)
 
 
 def test_ceil_mul_examples():
