@@ -1,11 +1,12 @@
 """Certificate pipeline for global F-regularity of klt standard germs.
 
 From a klt pair with standard coefficients and -(K+B) nef over the base the
-pipeline produces a checkable certificate chain: minimal complement Bc,
-chain extraction, the coefficient surgery that replaces m/N by (m-1)/(N-1)
-along a non-exceptional chain (plt case with an exceptional center) or the
-convex mix with the trivial-pairing solution (non-plt case), then the
-different of B* along the center and its monomial witness (`verify_pfreg`,
+pipeline produces a checkable certificate chain: minimal complement Bc, the
+center as the first curve of the coefficient-1 chain of Bc extended to a
+non-exceptional curve (one choice for both cases), the coefficient surgery
+m/N -> (m-1)/(N-1) along the rest of that chain (plt case) or the convex
+mix with the trivial-pairing solution (non-plt case), then the different of
+B* along the center, a `P1Pair`, and its monomial witness (`verify_pfreg`,
 clause (3)).  `reverify_certificate` is the one definition of a valid
 certificate: it checks the complement, that B* is the recorded surgery of
 Bc, anti-nefness of K + B*, the sandwich Bc >= B* >= B, plt-ness of
@@ -183,24 +184,21 @@ def construct_bstar_plt(bc, level: int, gamma0) -> dict[str, Fraction]:
     return out
 
 
-def _chain_with_nonexceptional_end(pair: LogPair, bc, gamma: list[str]):
-    """Orient/extend the reduced chain so it ends at a non-exceptional curve.
-
-    Returns the full path; the opposite end becomes the center (when that
-    end is exceptional this is exactly the forced re-choice, otherwise it
-    is the deterministic pick among the allowed ones).
-    """
+def _center_and_chain(pair: LogPair, bc) -> list[str]:
+    """The coefficient-1 chain of Bc, oriented and extended through
+    Supp(Bc - B) to end at a non-exceptional curve; its first vertex is the
+    center, in the plt and non-plt cases alike.  The far end is the first
+    chain end (smaller id first) that is non-exceptional or extends."""
     graph = pair.graph
-    ends = [gamma[0], gamma[-1]] if len(gamma) > 1 else [gamma[0]]
-    for u in ends:
+    gamma = reduced_chain(graph, bc)
+    for u in (gamma[0], gamma[-1]) if len(gamma) > 1 else gamma:
+        oriented = gamma if u == gamma[-1] else gamma[::-1]
         if not graph.vertex(u).exceptional:
-            oriented = gamma if u == gamma[-1] else list(reversed(gamma))
             return oriented
         try:
             ext = find_nonexceptional_chain(pair, bc, u, avoid=set(gamma) - {u})
         except PipelineError:
             continue
-        oriented = gamma if u == gamma[-1] else list(reversed(gamma))
         return oriented + ext
     raise PipelineError(
         "chain-extension",
@@ -232,8 +230,7 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
     """
     graph = pair.graph
     b = pair.coeff
-    gamma = reduced_chain(graph, bc)
-    path = _chain_with_nonexceptional_end(pair, bc, gamma)
+    path = _center_and_chain(pair, bc)
     center = path[0]
     gamma_prime = tuple(path[1:])
     if not gamma_prime:
@@ -301,21 +298,13 @@ def verify_pfreg(
     `reverify_certificate`.
     """
     anchors = tuple(diff_on_component(pair.with_coeff(bstar), center))
-    nonzero = [val for _a, val in anchors if val != 0]
-    if len(nonzero) > 3:
+    try:
+        p1 = P1Pair.from_coeffs([val for _a, val in anchors if val != 0])
+    except ValueError as exc:
         raise PipelineError(
-            "different",
-            "structure",
-            f"{len(nonzero)} nonzero anchors at {center!r}; only the reduction "
-            "of a four-point half-coefficient boundary to three points is supported",
+            "different", "structure", f"the different at {center!r} is not a P1 pair: {exc}"
         )
-    if any(val >= 1 for val in nonzero):
-        raise PipelineError(
-            "different",
-            "structure",
-            f"anchor coefficient >= 1 at {center!r}: the mixed boundary is not plt there",
-        )
-    return anchors, is_globally_F_regular(P1Pair.from_coeffs(nonzero), p, e_max)
+    return anchors, is_globally_F_regular(p1, p, e_max)
 
 
 def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
@@ -346,23 +335,11 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
     level = comp.level
 
     if comp.plt_case:
-        ones = sorted(v for v, c in bc.items() if c == 1)
-        if len(ones) != 1:
-            raise PipelineError(
-                "plt-center",
-                "structure",
-                f"plt complement with {len(ones)} coefficient-1 vertices",
-            )
-        center = ones[0]
-        if pair.graph.vertex(center).exceptional:
-            gamma0 = tuple(find_nonexceptional_chain(pair, bc, center))
-            bstar = construct_bstar_plt(bc, level, gamma0)
-        else:
-            # The center survives as a curve germ: the complement itself
-            # already satisfies clauses (1) and (2) (its anchors stay < 1
-            # by plt-ness), so no surgery is needed.
-            gamma0 = ()
-            bstar = {v: Fraction(c) for v, c in bc.items()}
+        path = _center_and_chain(pair, bc)
+        center = path[0]
+        gamma0 = tuple(path[1:])
+        # A non-exceptional center needs no surgery: Bc meets clauses (1), (2).
+        bstar = construct_bstar_plt(bc, level, gamma0) if gamma0 else dict(bc)
         case = "plt"
         gamma_prime: tuple[str, ...] = ()
         epsilon = None
@@ -382,8 +359,8 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         center=center,
         gamma0=gamma0,
         gamma_prime=gamma_prime,
-        bc={v: Fraction(c) for v, c in bc.items()},
-        bstar={v: Fraction(c) for v, c in bstar.items()},
+        bc=dict(bc),
+        bstar=bstar,
         epsilon=epsilon,
         diff=tuple(val for _a, val in anchors),
         diff_anchors=anchors,

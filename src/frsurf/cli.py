@@ -15,13 +15,7 @@ from . import bstar as bstar_mod
 from . import complements as comp_mod
 from .dgf import GermFile, ParseError, parse_germ
 from .fedder import P1Pair, hara_table, is_globally_F_regular, verdict_to_payload
-from .graphs import (
-    GraphError,
-    classify,
-    intersection_matrix,
-    is_negative_definite,
-    pullback_coefficients,
-)
+from .graphs import GraphError, classify, pullback_coefficients
 from .padic import binom_mod_p
 from .rationals import format_rational, parse_rational
 
@@ -119,8 +113,7 @@ def _cmd_discrepancies(args) -> tuple[str, int]:
 
 def _cmd_negdef(args) -> tuple[str, int]:
     germ = _read_germ(args.germ)
-    m = intersection_matrix(germ.graph, germ.graph.exceptional_ids)
-    ok = is_negative_definite(m)
+    ok = germ.graph.lattice(germ.graph.exceptional_ids).definite
     payload = {"negative_definite": ok}
     return (
         _emit(payload, [f"negative definite: {'yes' if ok else 'no'}"], args.format),

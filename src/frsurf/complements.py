@@ -36,16 +36,6 @@ from .rationals import is_standard
 
 LEVELS = (1, 2, 3, 4, 6)
 
-CHECK_NAMES = (
-    "level",
-    "dominates",
-    "integral",
-    "trivial_pairing",
-    "lc_not_klt",
-    "floor_bound",
-)
-
-
 class ComplementHypothesisError(ValueError):
     def __init__(self, failures):
         self.failures = tuple(failures)

@@ -8,6 +8,7 @@ Grammar (one declaration per line, '#' starts a comment):
     prime <p> [<p> ...]
 
 Coefficients are exact fractions ("1/2", "1", never "0.5") in [0, 1].
+Curve ids contain no '=' (a boundary entry splits at the first one).
 Only genus-0 curves are supported; a genus attribute other than 0 is
 rejected.  Named boundary sections give alternative coefficient vectors
 (missing vertices default to 0).
@@ -74,6 +75,8 @@ def parse_germ(text: str) -> GermFile:
             if len(tokens) < 2:
                 raise ParseError(lineno, "curve needs an id")
             cid = tokens[1]
+            if "=" in cid:
+                raise ParseError(lineno, f"curve id {cid!r} contains '=': no boundary can name it")
             if cid in seen:
                 raise ParseError(lineno, f"duplicate id {cid!r} (first on line {seen[cid]})")
             attrs = {}

@@ -14,7 +14,8 @@ from frsurf.bstar import (
     reverify_certificate,
     verify_pfreg,
 )
-from frsurf.complements import minimal_complement
+from frsurf.cli import main
+from frsurf.complements import ComplementCertificate, minimal_complement
 from frsurf.corpus import (
     a1_tail,
     deliberate_families,
@@ -220,6 +221,55 @@ def test_verify_pfreg_clauses():
     anchors, verdict = verify_pfreg(pair, bstar, "C", 7, 4)
     assert sorted(val for _a, val in anchors) == N3_DIFF_LIST
     assert verdict.is_regular
+
+
+def test_verify_pfreg_rejects_a_different_that_is_no_p1_pair():
+    g = DualGraph(
+        [Vertex("C", -1, True), *(Vertex(x, 0, False) for x in "PQRS")],
+        [("C", x, 1) for x in "PQRS"],
+    )
+    pair = LogPair(g, {})
+    four = {"C": F(1), **dict.fromkeys("PQRS", F(1, 2))}
+    one = {"C": F(1), "P": F(1), "Q": F(1, 2), "R": 0, "S": 0}
+    for bstar, needle in ((four, "at most three marked points"), (one, "outside [0, 1)")):
+        with pytest.raises(PipelineError) as err:
+            verify_pfreg(pair, bstar, "C", 7, 4)
+        assert (err.value.stage, err.value.kind) == ("different", "structure")
+        assert needle in str(err.value)
+
+
+# C - W - L with Bc - B supported on C alone.
+CWL = """\
+curve C self=-2 exceptional=yes
+curve W self=-2 exceptional=yes coeff=1/2
+curve L self=0 exceptional=no coeff=1/2
+meet C W 1
+meet W L 1
+"""
+
+
+@pytest.mark.parametrize(
+    "bc, stage, kind, needle",
+    [
+        # two disjoint coefficient-1 curves (formerly the "plt-center" stage)
+        ({"C": F(1), "W": F(1, 2), "L": F(1)}, "reduced-chain", "structure", "not a simple chain"),
+        # an exceptional center that no chain leaves (formerly "chain-search")
+        ({"C": F(1), "W": F(1, 2), "L": F(1, 2)}, "chain-extension", "hypothesis", "no non-exc"),
+    ],
+)
+def test_gfr_plt_center_comes_from_the_reduced_chain(
+    monkeypatch, tmp_path, capsys, bc, stage, kind, needle
+):
+    comp = ComplementCertificate(level=2, coeffs=bc, plt_case=True)
+    monkeypatch.setattr("frsurf.bstar.minimal_complement", lambda pair: comp)
+    with pytest.raises(PipelineError) as err:
+        gfr_certificate(parse_germ(CWL).pair(), 7)
+    assert (err.value.stage, err.value.kind) == (stage, kind)
+    assert needle in str(err.value)
+    f = tmp_path / "cwl.dgf"
+    f.write_text(CWL)
+    assert main(["bstar", str(f), "--p", "7"]) == 3
+    assert f"p=7: failed at stage {stage}: [{stage}] " in capsys.readouterr().out
 
 
 def test_gfr_maps_inconclusive_fedder():

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from frsurf.cli import main
-from frsurf.corpus import random_corpus
+from frsurf.corpus import ade_graph, affine_ade_graph, blowup_chain, random_corpus
 from frsurf.dgf import GermFile, ParseError, parse_germ, render_germ
+from frsurf.graphs import intersection_matrix, is_negative_definite
 
 A1_TAIL = """\
 # A1 germ with a transversal carrier
@@ -61,6 +62,8 @@ def test_parse_errors_carry_line_numbers():
         ("wobble E", "unknown", 1),
         ("curve E self=-2 exceptional=yes\nmeet E Z 1", "unknown", 2),
         ("prime 9", "not prime", 1),
+        # no boundary line could name this curve: "a=b=1/2" is not a fraction
+        ("curve E self=-2 exceptional=yes\ncurve a=b self=-2 exceptional=yes", "contains '='", 2),
         (
             "curve E self=-2 exceptional=yes\ncurve L self=0 exceptional=no\n"
             "meet E L 1\n# a comment\nboundary half E=1/2 Z=1/2\nprime 7",
@@ -114,6 +117,24 @@ def test_cli_negdef(tmp_path, capsys):
     code, out = _run(capsys, "negdef", str(f))
     assert code == 1
     assert "no" in out
+
+    # Differential: the CLI's answer against the dense test on the exceptional curves.
+    kinds = [("A", n) for n in range(1, 7)] + [("D", 4), ("D", 5), ("D", 6)]
+    kinds += [("E", 6), ("E", 7), ("E", 8)]
+    graphs = [ade_graph(k, n) for k, n in kinds] + [affine_ade_graph(k, n) for k, n in kinds]
+    graphs += [blowup_chain(n) for n in range(1, 6)]
+    graphs += [pair.graph for pair in random_corpus(1, 200)]
+    f = tmp_path / "g.dgf"
+    answers = set()
+    for g in graphs:
+        f.write_text(render_germ(GermFile(graph=g, coeff={})))
+        ok = is_negative_definite(intersection_matrix(g, g.exceptional_ids))
+        answers.add(ok)
+        code, out = _run(capsys, "negdef", str(f))
+        assert (code, out) == (0 if ok else 1, f"negative definite: {'yes' if ok else 'no'}\n")
+        code, out = _run(capsys, "negdef", str(f), "--format", "json")
+        assert (code, json.loads(out)) == (0 if ok else 1, {"negative_definite": ok})
+    assert answers == {True, False}
 
 
 def test_cli_complement(tmp_path, capsys):
