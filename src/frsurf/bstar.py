@@ -2,9 +2,10 @@
 
 From a klt pair with standard coefficients and -(K+B) nef over the base the
 pipeline produces a checkable certificate chain: minimal complement Bc, the
-center as the first curve of the coefficient-1 chain of Bc extended to a
-non-exceptional curve (one choice for both cases), the coefficient surgery
-m/N -> (m-1)/(N-1) along the rest of that chain (plt case) or the convex
+center as the first curve of one walk for both cases (`_center_and_chain`:
+the coefficient-1 chain of Bc, extended through Supp(Bc - B) to a
+non-exceptional curve), the coefficient surgery m/N -> (m-1)/(N-1) along
+the rest of that walk (plt case; none when the rest is empty) or the convex
 mix with the trivial-pairing solution (non-plt case), then the different of
 B* along the center, a `P1Pair`, and its monomial witness (`verify_pfreg`,
 clause (3)).  `reverify_certificate` is the one definition of a valid
@@ -76,100 +77,12 @@ class GfrCertificate:
     e_max: int
 
 
-def reduced_chain(graph, bc) -> list[str]:
-    """The coefficient-1 vertices, verified to form a simple chain.
-
-    Returned end to end, smaller end id first.
-    """
-    ones = sorted(v for v in graph.ids if Fraction(bc[v]) == 1)
-    if not ones:
-        raise PipelineError("reduced-chain", "structure", "no coefficient-1 vertex")
-    one_set = set(ones)
-    deg = {v: 0 for v in ones}
-    n_edges = 0
-    for u, w, _m in graph.edges():
-        if u in one_set and w in one_set:
-            deg[u] += 1
-            deg[w] += 1
-            n_edges += 1
-    if n_edges != len(ones) - 1 or any(d > 2 for d in deg.values()):
-        raise PipelineError(
-            "reduced-chain",
-            "structure",
-            "coefficient-1 locus is not a simple chain: " + ", ".join(ones),
-        )
-    if len(ones) == 1:
-        return ones
-    ends = sorted(v for v, d in deg.items() if d <= 1)
-    if len(ends) != 2:
-        raise PipelineError(
-            "reduced-chain", "structure", "coefficient-1 locus is disconnected or cyclic"
-        )
-    chain = [ends[0]]
-    prev = None
-    while len(chain) < len(ones):
-        nxt = [
-            n
-            for n, _m in graph.neighbors(chain[-1])
-            if n in one_set and n != prev and n not in chain
-        ]
-        if len(nxt) != 1:
-            raise PipelineError(
-                "reduced-chain", "structure", "coefficient-1 locus is disconnected"
-            )
-        prev = chain[-1]
-        chain.append(nxt[0])
-    return chain
-
-
-def find_nonexceptional_chain(pair: LogPair, bc, center: str, avoid=()) -> list[str]:
-    """Lexicographically least path from a neighbor of the center through
-    Supp(Bc - B) to a non-exceptional vertex, interior vertices exceptional.
-
-    Mirrors the connected-component argument: the component of the support
-    through the center must reach a non-exceptional curve whenever -(K+B)
-    is nef over the base; if no path exists the input violates that
-    hypothesis and a diagnostic is raised.
-    """
-    graph = pair.graph
-    if Fraction(bc[center]) != 1:
-        raise PipelineError(
-            "chain-search", "hypothesis", f"center {center!r} must carry coefficient 1"
-        )
-    blocked = set(avoid) | {center}
-    support = {
-        v
-        for v in graph.ids
-        if Fraction(bc[v]) > pair.coeff[v] and v not in blocked
-    }
-
-    def dfs(path):
-        v = path[-1]
-        if not graph.vertex(v).exceptional:
-            return path
-        for nbr, _m in graph.neighbors(v):
-            if nbr in support and nbr not in path:
-                found = dfs(path + [nbr])
-                if found is not None:
-                    return found
-        return None
-
-    for nbr, _m in graph.neighbors(center):
-        if nbr in support:
-            found = dfs([nbr])
-            if found is not None:
-                return found
-    raise PipelineError(
-        "chain-search",
-        "hypothesis",
-        f"no non-exceptional chain through Supp(Bc - B) leaves {center!r}; "
-        "such germs violate the nef-over-base hypothesis",
-    )
-
-
 def construct_bstar_plt(bc, level: int, gamma0) -> dict[str, Fraction]:
-    """Replace each chain coefficient m/level by (m-1)/(level-1), rest unchanged."""
-    if level < 2:
+    """Replace each chain coefficient m/level by (m-1)/(level-1), rest unchanged.
+
+    An empty chain (a non-exceptional center) needs no surgery: Bc itself.
+    """
+    if gamma0 and level < 2:
         raise PipelineError("surgery", "structure", "surgery needs level >= 2")
     out = {v: Fraction(c) for v, c in bc.items()}
     for v in gamma0:
@@ -187,19 +100,51 @@ def construct_bstar_plt(bc, level: int, gamma0) -> dict[str, Fraction]:
 def _center_and_chain(pair: LogPair, bc) -> list[str]:
     """The coefficient-1 chain of Bc, oriented and extended through
     Supp(Bc - B) to end at a non-exceptional curve; its first vertex is the
-    center, in the plt and non-plt cases alike.  The far end is the first
-    chain end (smaller id first) that is non-exceptional or extends."""
+    center, in the plt and non-plt cases alike.
+
+    The chain is walked from its smaller end id.  The far end is the first
+    chain end (smaller id first) that is non-exceptional or extends; the
+    extension is the lexicographically least path through Supp(Bc - B) off
+    the chain whose interior curves are exceptional.
+    """
     graph = pair.graph
-    gamma = reduced_chain(graph, bc)
-    for u in (gamma[0], gamma[-1]) if len(gamma) > 1 else gamma:
-        oriented = gamma if u == gamma[-1] else gamma[::-1]
-        if not graph.vertex(u).exceptional:
-            return oriented
-        try:
-            ext = find_nonexceptional_chain(pair, bc, u, avoid=set(gamma) - {u})
-        except PipelineError:
-            continue
-        return oriented + ext
+    ones = sorted(v for v in graph.ids if Fraction(bc[v]) == 1)
+    if not ones:
+        raise PipelineError("reduced-chain", "structure", "no coefficient-1 vertex")
+    link = {v: [n for n, _m in graph.neighbors(v) if n in ones] for v in ones}
+    gamma = [v for v in ones if len(link[v]) <= 1][:1]
+    while gamma:
+        step = [n for n in link[gamma[-1]] if n not in gamma]
+        if len(step) != 1:
+            break
+        gamma += step
+    # A locus of degrees at most 2 is a simple chain exactly when the walk
+    # from one of its ends covers it.
+    if len(gamma) != len(ones) or any(len(ns) > 2 for ns in link.values()):
+        raise PipelineError(
+            "reduced-chain",
+            "structure",
+            "coefficient-1 locus is not a simple chain: " + ", ".join(ones),
+        )
+    support = {v for v in graph.ids if Fraction(bc[v]) > pair.coeff[v]} - set(gamma)
+
+    def extend(path):
+        if not graph.vertex(path[-1]).exceptional:
+            return path
+        for nbr, _m in graph.neighbors(path[-1]):
+            if nbr in support and nbr not in path:
+                found = extend(path + [nbr])
+                if found is not None:
+                    return found
+        return None
+
+    for oriented in (gamma[::-1], gamma) if len(gamma) > 1 else (gamma,):
+        path = extend(oriented)
+        if path is not None:
+            return path
+    # Connectedness: when -(K+B) is nef over the base, the component of
+    # Supp(Bc - B) through the chain reaches a non-exceptional curve, so a
+    # missing extension means the input violates that hypothesis.
     raise PipelineError(
         "chain-extension",
         "hypothesis",
@@ -338,8 +283,7 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         path = _center_and_chain(pair, bc)
         center = path[0]
         gamma0 = tuple(path[1:])
-        # A non-exceptional center needs no surgery: Bc meets clauses (1), (2).
-        bstar = construct_bstar_plt(bc, level, gamma0) if gamma0 else dict(bc)
+        bstar = construct_bstar_plt(bc, level, gamma0)
         case = "plt"
         gamma_prime: tuple[str, ...] = ()
         epsilon = None
@@ -506,8 +450,9 @@ def _is_int(value) -> bool:
 
 
 def _type_problems(cert: GfrCertificate) -> list[str]:
-    """Scalar fields of the wrong type, and an e_max below 1: the checks of
-    `reverify_certificate` would raise on them rather than report them."""
+    """Fields of the wrong type (scalars, chains, coefficient maps), and an
+    e_max below 1: the checks of `reverify_certificate` would raise on them
+    or misread them rather than report them."""
     problems = [
         f"{name} {getattr(cert, name)!r} is not an integer"
         for name in ("level", "prime", "e_max")
@@ -517,6 +462,20 @@ def _type_problems(cert: GfrCertificate) -> list[str]:
         problems.append(f"e_max {cert.e_max} is below 1")
     if not isinstance(cert.center, str):
         problems.append(f"center {cert.center!r} is not a vertex name")
+    for name in ("gamma0", "gamma_prime"):
+        value = getattr(cert, name)
+        if not (isinstance(value, tuple) and all(isinstance(v, str) for v in value)):
+            problems.append(f"{name} {value!r} is not a tuple of vertex names")
+    for name in ("bc", "bstar"):
+        value = getattr(cert, name)
+        if not isinstance(value, dict):
+            problems.append(f"{name} {value!r} is not a coefficient map")
+            continue
+        problems.extend(
+            f"{name} at {v!r} is {c!r}, not an exact rational"
+            for v, c in value.items()
+            if not (_is_int(c) or isinstance(c, Fraction))
+        )
     fc = cert.fedder.certificate
     if fc is not None:
         for name in ("p", "e"):
@@ -538,7 +497,7 @@ def _surgery_problems(graph, cert: GfrCertificate) -> list[str]:
         if cert.case == "plt":
             if cert.epsilon is not None or cert.gamma_prime:
                 return ["a plt certificate records a mix"]
-            expected = construct_bstar_plt(bc, cert.level, cert.gamma0) if cert.gamma0 else bc
+            expected = construct_bstar_plt(bc, cert.level, cert.gamma0)
         else:
             eps = cert.epsilon
             if cert.gamma0 or eps is None or eps <= 0:

@@ -6,11 +6,12 @@ import pytest
 from frsurf.bstar import (
     GfrCertificate,
     PipelineError,
+    _center_and_chain,
+    certificate_from_payload,
+    certificate_to_payload,
     construct_bstar_nonplt,
     construct_bstar_plt,
-    find_nonexceptional_chain,
     gfr_certificate,
-    reduced_chain,
     reverify_certificate,
     verify_pfreg,
 )
@@ -49,53 +50,55 @@ N3_DIFF_LIST = sorted([F(1, 2), F(2, 3), F(2, 3)])
 N2_DIFF_LIST = sorted([F(1, 2), F(1, 2), F(1, 2)])
 
 
-def test_reduced_chain_shapes():
+def _exc(*ids):
+    return [Vertex(v, -2, True) for v in ids]
+
+
+def test_center_and_chain_walks_and_extends():
+    # x - a - b - y: a two-curve chain, extended at its smaller end a first
     g = DualGraph(
-        [Vertex("a", -2, True), Vertex("b", -2, True), Vertex("c", 0, False)],
-        [("a", "b", 1), ("b", "c", 1)],
+        [*_exc("a", "b"), Vertex("x", 0, False), Vertex("y", 0, False)],
+        [("x", "a", 1), ("a", "b", 1), ("b", "y", 1)],
     )
-    bc = {"a": 1, "b": 1, "c": F(1, 2)}
-    assert reduced_chain(g, bc) == ["a", "b"]
-    assert reduced_chain(g, {"a": 1, "b": F(1, 2), "c": 0}) == ["a"]
-
-    tri = DualGraph(
-        [Vertex(x, -2, True) for x in "abc"],
-        [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)],
-    )
-    with pytest.raises(PipelineError):
-        reduced_chain(tri, {"a": 1, "b": 1, "c": 1})
-    with pytest.raises(PipelineError):
-        reduced_chain(g, {"a": 1, "b": 0, "c": 1})  # disconnected ones
-
-
-def test_find_chain_examples():
+    bc = {"a": 1, "b": 1, "x": F(1, 2), "y": F(1, 2)}
+    assert _center_and_chain(LogPair(g, {}), bc) == ["b", "a", "x"]
+    # x outside Supp(Bc - B): the smaller end cannot extend, the other end can
+    assert _center_and_chain(LogPair(g, {"x": F(1, 2)}), bc) == ["a", "b", "y"]
+    # a one-curve chain, extended through an exceptional interior curve
+    one = {"a": 1, "b": F(1, 2), "x": 0, "y": F(1, 2)}
+    assert _center_and_chain(LogPair(g, {}), one) == ["a", "b", "y"]
     pair = plt_fork_level6()
-    cert = minimal_complement(pair)
-    chain = find_nonexceptional_chain(pair, cert.coeffs, "C")
-    assert chain == ["D", "L"]
+    assert _center_and_chain(pair, minimal_complement(pair).coeffs) == ["C", "D", "L"]
 
-    # length-one chain: the center's neighbor is already non-exceptional
+
+def test_center_and_chain_extension_is_lexicographically_least():
     g = DualGraph(
-        [Vertex("C", -2, True), Vertex("L", 0, False), Vertex("M", 0, False)],
+        [*_exc("C"), Vertex("L", 0, False), Vertex("M", 0, False)],
         [("C", "L", 1), ("C", "M", 1)],
     )
-    pair2 = LogPair(g, {})
-    bc2 = {"C": 1, "L": F(1, 2), "M": F(1, 2)}
-    assert find_nonexceptional_chain(pair2, bc2, "C") == ["L"]
-    # lexicographically smallest qualifying path wins
-    assert find_nonexceptional_chain(pair2, bc2, "C", avoid={"L"}) == ["M"]
+    bc = {"C": 1, "L": F(1, 2), "M": F(1, 2)}
+    assert _center_and_chain(LogPair(g, {}), bc) == ["C", "L"]
+    assert _center_and_chain(LogPair(g, {"L": F(1, 2)}), bc) == ["C", "M"]
 
 
-def test_find_chain_raises_when_support_empty():
-    g = DualGraph(
-        [Vertex("C", -2, True), Vertex("W", -2, True), Vertex("L", 0, False)],
-        [("C", "W", 1), ("W", "L", 1)],
-    )
-    pair = LogPair(g, {"W": F(1, 2), "L": F(1, 2)})
-    bc = {"C": 1, "W": F(1, 2), "L": F(1, 2)}  # Bc - B vanishes off C
+@pytest.mark.parametrize(
+    "edges, ones, needle",
+    [
+        ([("a", "b"), ("b", "c"), ("a", "c")], "abc", "not a simple chain: a, b, c"),
+        ([("a", "b"), ("b", "c")], "ac", "not a simple chain: a, c"),
+        # edge count and end count fit a chain; only the walk sees the triangle
+        ([("a", "b"), ("b", "c"), ("a", "c"), ("x", "y")], "abcxy", "not a simple chain"),
+        ([("a", "b")], "", "no coefficient-1 vertex"),
+    ],
+)
+def test_center_and_chain_rejects_a_locus_that_is_no_simple_chain(edges, ones, needle):
+    ids = sorted({v for edge in edges for v in edge})
+    g = DualGraph(_exc(*ids), [(u, w, 1) for u, w in edges])
+    bc = {v: F(1) if v in ones else F(1, 2) for v in ids}
     with pytest.raises(PipelineError) as err:
-        find_nonexceptional_chain(pair, bc, "C")
-    assert err.value.kind == "hypothesis"
+        _center_and_chain(LogPair(g, {}), bc)
+    assert (err.value.stage, err.value.kind) == ("reduced-chain", "structure")
+    assert needle in str(err.value)
 
 
 def test_construct_bstar_plt_surgery_values():
@@ -108,6 +111,8 @@ def test_construct_bstar_plt_surgery_values():
         construct_bstar_plt({"W": F(1, 5)}, 6, ["W"])  # not on the 1/6 grid
     with pytest.raises(PipelineError):
         construct_bstar_plt({"W": F(1, 2)}, 1, ["W"])
+    # an empty chain needs no surgery, whatever the level
+    assert construct_bstar_plt(bc, 1, ()) == bc
 
 
 def test_surgery_preserves_anti_nef_on_families():
@@ -119,7 +124,8 @@ def test_surgery_preserves_anti_nef_on_families():
     ):
         cert = minimal_complement(pair)
         assert cert.level == level
-        gamma0 = find_nonexceptional_chain(pair, cert.coeffs, "C")
+        center, *gamma0 = _center_and_chain(pair, cert.coeffs)
+        assert center == "C"
         bstar = construct_bstar_plt(cert.coeffs, level, gamma0)
         dots = dot_against_exceptionals(pair.graph, bstar)
         assert anti_nef_over_base(dots)
@@ -216,9 +222,9 @@ def test_nonplt_surgery_solves_bc_not_again(monkeypatch):
 def test_verify_pfreg_clauses():
     pair = plt_fork_level3()
     cert = minimal_complement(pair)
-    gamma0 = find_nonexceptional_chain(pair, cert.coeffs, "C")
+    center, *gamma0 = _center_and_chain(pair, cert.coeffs)
     bstar = construct_bstar_plt(cert.coeffs, cert.level, gamma0)
-    anchors, verdict = verify_pfreg(pair, bstar, "C", 7, 4)
+    anchors, verdict = verify_pfreg(pair, bstar, center, 7, 4)
     assert sorted(val for _a, val in anchors) == N3_DIFF_LIST
     assert verdict.is_regular
 
@@ -371,9 +377,20 @@ def test_reverify_detects_tampering():
         ("e_max", "6"),
         ("e_max", -2),
         ("center", ["A"]),
+        ("gamma0", (["A"],)),
+        ("gamma0", "DL"),
+        ("gamma_prime", (["A"],)),
+        ("bstar", {**cert.bstar, "A": "x"}),
+        ("bstar", {**cert.bstar, "C": 1.0}),
+        ("bc", {**cert.bc, "A": None}),
+        ("bc", {**cert.bc, "C": "1"}),
+        ("bc", {**cert.bc, "C": True}),
+        ("bc", None),
     ):
         mutated = dataclasses.replace(cert, **{field: value})
         assert reverify_certificate(pair, mutated) != [], (field, value)
+    payload = {**certificate_to_payload(cert), "gamma0": [["A"]]}
+    assert reverify_certificate(pair, certificate_from_payload(payload)) != []
     # a different with a coefficient 1 or a fourth marked point is reported, not raised
     fork2 = plt_fork_level2()
     cert2 = gfr_certificate(fork2, 7, e_max=6)
@@ -427,8 +444,6 @@ def test_reverify_detects_tampering():
 
 def test_certificate_serialization_round_trip():
     import json
-
-    from frsurf.bstar import certificate_from_payload, certificate_to_payload
 
     pair = plt_fork_level6()
     cert = gfr_certificate(pair, 7, e_max=6)

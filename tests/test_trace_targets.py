@@ -1,17 +1,43 @@
-"""The traced benchmark run wraps frsurf entry points by name; each must exist."""
+"""The benchmark names frsurf entry points and pipeline stages; each must exist."""
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from frsurf.cli import _PIPELINE_EXITS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_trace_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("spans")
     assert spans.TARGETS
     for module, name, _note in spans.TARGETS:
         fn = getattr(importlib.import_module("frsurf." + module), name, None)
         assert callable(fn), f"frsurf.{module}.{name}"
+
+
+def test_every_raised_stage_is_known_to_the_benchmark_and_the_cli():
+    stages = _load("workloads").PIPELINE_STAGES
+    raised = []
+    for path in sorted((ROOT / "src" / "frsurf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "PipelineError":
+                where = f"{path.name}:{node.lineno}"
+                # a stage or kind that is no string literal cannot be checked: it fails here
+                stage, kind = (ast.literal_eval(arg) for arg in node.args[:2])
+                assert stage in stages, (where, stage)
+                assert kind in _PIPELINE_EXITS, (where, kind)
+                raised.append(stage)
+    assert "chain-extension" in raised
