@@ -1,23 +1,26 @@
 """Certificate pipeline for global F-regularity of klt standard germs.
 
 From a klt pair with standard coefficients and -(K+B) nef over the base the
-pipeline produces a checkable certificate chain: minimal complement Bc, the
-center as the first curve of one walk for both cases (`_center_and_chain`:
-the coefficient-1 chain of Bc, extended through Supp(Bc - B) to a
-non-exceptional curve), the coefficient surgery m/N -> (m-1)/(N-1) along
-the rest of that walk (plt case; none when the rest is empty) or the convex
-mix with the trivial-pairing solution (non-plt case), then the different of
-B* along the center, a `P1Pair`, and its monomial witness (`verify_pfreg`,
-clause (3)).  `reverify_certificate` is the one definition of a valid
-certificate: it checks the complement, that B* is the recorded surgery of
-Bc, anti-nefness of K + B*, the sandwich Bc >= B* >= B, plt-ness of
-(graph, B*), the different with its anchors and the witness, and
-`gfr_certificate` returns only certificates it accepts.
+pipeline produces a checkable certificate chain, split at the prime.  The
+prime-free half, `surgery(pair)`, runs once per pair and is kept on it:
+minimal complement Bc, the center as the first curve of one walk for both
+cases (`_center_and_chain`: the coefficient-1 chain of Bc, extended through
+Supp(Bc - B) to a non-exceptional curve), the coefficient surgery
+m/N -> (m-1)/(N-1) along the rest of that walk (plt case; none when the
+rest is empty) or the convex mix with the trivial-pairing solution (non-plt
+case), the different of B* along the center as a `P1Pair`, and the
+prime-free checks.  The per-prime half, `gfr_certificate(pair, p)`, runs
+only the monomial test on that different (clause (3)) and the checks of its
+witness.  `reverify_certificate` is the one definition of a valid
+certificate and reads nothing the pair keeps: it checks the complement,
+that B* is the recorded surgery of Bc, anti-nefness of K + B*, the sandwich
+Bc >= B* >= B, plt-ness of (graph, B*) and the different with its anchors,
+then the witness on the recomputed different; `gfr_certificate` returns
+only certificates that pass these checks.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complements import LEVELS, ComplementHypothesisError, minimal_complement, verify_complement
@@ -233,38 +236,43 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
     )
 
 
-def verify_pfreg(
-    pair: LogPair, bstar, center: str, p: int, e_max: int
-) -> tuple[tuple, FRegVerdict]:
-    """Clause (3): the different of B* along the center and its F-regularity.
-
-    Returns ``(anchors, verdict)``.  Clauses (1) and (2) -- K + B* anti-nef
-    over the base, Bc >= B* >= B, and (graph, B*) plt -- are checked by
-    `reverify_certificate`.
-    """
+def _different(pair: LogPair, bstar, center: str) -> tuple[tuple, P1Pair]:
+    """The different of B* along the center: its anchors, and its P1 pair."""
     anchors = tuple(diff_on_component(pair.with_coeff(bstar), center))
     try:
-        p1 = P1Pair.from_coeffs([val for _a, val in anchors if val != 0])
+        return anchors, P1Pair.from_coeffs([val for _a, val in anchors if val != 0])
     except ValueError as exc:
         raise PipelineError(
             "different", "structure", f"the different at {center!r} is not a P1 pair: {exc}"
         )
+
+
+def verify_pfreg(
+    pair: LogPair, bstar, center: str, p: int, e_max: int
+) -> tuple[tuple, FRegVerdict]:
+    """Clause (3): the anchors of the different of B* along the center, and
+    its F-regularity verdict at p (clauses (1) and (2): `reverify_certificate`)."""
+    anchors, p1 = _different(pair, bstar, center)
     return anchors, is_globally_F_regular(p1, p, e_max)
 
 
-def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
-    """Run the full pipeline; every failure raises a staged diagnostic.
+def surgery(pair: LogPair) -> tuple[GfrCertificate, P1Pair, list[str], tuple | None]:
+    """The prime-free half of the pipeline, run once per pair and kept on it:
+    the certificate without its prime (fedder, prime and e_max are None), its
+    different as a `P1Pair`, and what `_prime_free_problems` finds on it.  A
+    `PipelineError` on the way is kept and re-raised for every prime."""
+    if pair._surgery is None:
+        try:
+            memo = _prime_free_half(pair)
+        except PipelineError as exc:
+            memo = exc
+        object.__setattr__(pair, "_surgery", memo)
+    if isinstance(pair._surgery, PipelineError):
+        raise pair._surgery
+    return pair._surgery
 
-    The certificate is returned only when `reverify_certificate` accepts it.
-    """
-    if not (isinstance(p, int) and is_prime(p) and p > 5):
-        raise PipelineError(
-            "hypotheses", "hypothesis", f"characteristic must be a prime > 5, got {p}"
-        )
-    if not (_is_int(e_max) and e_max >= 1):
-        raise PipelineError(
-            "hypotheses", "hypothesis", f"e_max must be a positive integer, got {e_max}"
-        )
+
+def _prime_free_half(pair: LogPair):
     try:
         comp = minimal_complement(pair)
     except ComplementHypothesisError as exc:
@@ -277,42 +285,55 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
             "on the coefficient grid",
         )
     bc = comp.coeffs
-    level = comp.level
-
+    gamma0 = gamma_prime = ()
+    epsilon = None
     if comp.plt_case:
-        path = _center_and_chain(pair, bc)
-        center = path[0]
-        gamma0 = tuple(path[1:])
-        bstar = construct_bstar_plt(bc, level, gamma0)
-        case = "plt"
-        gamma_prime: tuple[str, ...] = ()
-        epsilon = None
+        center, *chain = _center_and_chain(pair, bc)
+        gamma0 = tuple(chain)
+        bstar = construct_bstar_plt(bc, comp.level, gamma0)
     else:
-        surgery = construct_bstar_nonplt(pair, bc)
-        center = surgery.center
-        gamma0 = ()
-        gamma_prime = surgery.gamma_prime
-        bstar = surgery.bstar
-        epsilon = surgery.epsilon
-        case = "non_plt"
-
-    anchors, verdict = verify_pfreg(pair, bstar, center, p, e_max)
+        mix = construct_bstar_nonplt(pair, bc)
+        center, gamma_prime, bstar, epsilon = mix.center, mix.gamma_prime, mix.bstar, mix.epsilon
+    anchors, p1 = _different(pair, bstar, center)
     cert = GfrCertificate(
-        case=case,
-        level=level,
+        case="plt" if comp.plt_case else "non_plt",
+        level=comp.level,
         center=center,
         gamma0=gamma0,
         gamma_prime=gamma_prime,
-        bc=dict(bc),
+        bc=bc,
         bstar=bstar,
         epsilon=epsilon,
         diff=tuple(val for _a, val in anchors),
         diff_anchors=anchors,
-        fedder=verdict,
-        prime=p,
-        e_max=e_max,
+        fedder=None,
+        prime=None,
+        e_max=None,
     )
-    problems = reverify_certificate(pair, cert)
+    return (cert, p1, *_prime_free_problems(pair, cert))
+
+
+def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
+    """Run the pipeline at p; every failure raises a staged diagnostic.
+
+    Only the monomial test and the checks of its witness run per prime; the
+    rest is `surgery(pair)`.  The certificate, which owns its coefficient
+    maps, is returned only when it passes the checks of `reverify_certificate`.
+    """
+    if not (isinstance(p, int) and is_prime(p) and p > 5):
+        raise PipelineError(
+            "hypotheses", "hypothesis", f"characteristic must be a prime > 5, got {p}"
+        )
+    if not (_is_int(e_max) and e_max >= 1):
+        raise PipelineError(
+            "hypotheses", "hypothesis", f"e_max must be a positive integer, got {e_max}"
+        )
+    cert, p1, problems, values = surgery(pair)
+    verdict = is_globally_F_regular(p1, p, e_max)
+    cert = replace(
+        cert, bc=dict(cert.bc), bstar=dict(cert.bstar), fedder=verdict, prime=p, e_max=e_max
+    )
+    problems = problems + _witness_problems(cert, values)
     if problems == ["stored verdict is not regular"] and verdict.status == "inconclusive":
         raise PipelineError(
             "fedder",
@@ -349,8 +370,9 @@ def certificate_from_payload(payload: dict) -> GfrCertificate:
         case=payload["case"],
         level=payload["level"],
         center=payload["center"],
-        gamma0=tuple(payload["gamma0"]),
-        gamma_prime=tuple(payload["gamma_prime"]),
+        # a chain that is no JSON list stays as it is, for `_type_problems`
+        gamma0=tuple(g) if isinstance(g := payload["gamma0"], list) else g,
+        gamma_prime=tuple(g) if isinstance(g := payload["gamma_prime"], list) else g,
         bc={v: parse_rational(c) for v, c in payload["bc"].items()},
         bstar={v: parse_rational(c) for v, c in payload["bstar"].items()},
         epsilon=parse_rational(eps) if eps is not None else None,
@@ -369,30 +391,40 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
 
     Returns the list of discrepancies (empty means the certificate stands);
     a tampered field is reported, not raised.  No state from the
-    construction phase is reused.
+    construction phase is reused: the prime-free half the pair keeps is not
+    read.
     """
     mistyped = _type_problems(cert)
     if mistyped:
         return mistyped
+    problems, values = _prime_free_problems(pair, cert)
+    return problems + _witness_problems(cert, values)
+
+
+def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str], tuple | None]:
+    """Every check of a well-typed certificate but its witness: the
+    complement, the recorded surgery, K + B* anti-nef, the sandwich, plt-ness
+    of (graph, B*) and the different with its anchors.  Returns the problems
+    and the recomputed different, None when a field stops the check early."""
     graph = pair.graph
     b = pair.coeff
     bc = cert.bc
     bs = cert.bstar
 
     if set(bc) != set(graph.ids) or set(bs) != set(graph.ids):
-        return ["coefficient vectors do not cover the graph"]
+        return ["coefficient vectors do not cover the graph"], None
     if cert.center not in bc:
-        return [f"center {cert.center!r} is not a vertex of the graph"]
+        return [f"center {cert.center!r} is not a vertex of the graph"], None
     if cert.case not in ("plt", "non_plt"):
-        return [f"unknown case {cert.case!r}"]
+        return [f"unknown case {cert.case!r}"], None
     unknown = sorted({*cert.gamma0, *cert.gamma_prime} - set(graph.ids))
     if unknown:
-        return ["chain names unknown vertices " + ", ".join(map(str, unknown))]
+        return ["chain names unknown vertices " + ", ".join(map(str, unknown))], None
     outside = sorted(v for v in graph.ids if not 0 <= Fraction(bs[v]) <= 1)
     if outside:
-        return ["B* leaves [0, 1] at " + ", ".join(outside)]
+        return ["B* leaves [0, 1] at " + ", ".join(outside)], None
     if Fraction(bc[cert.center]) != 1 or Fraction(bs[cert.center]) != 1:
-        return ["center does not carry coefficient 1"]
+        return ["center does not carry coefficient 1"], None
     report = verify_complement(pair, bc, cert.level)
     problems = list(report.details)
     # A failed lc_not_klt check already rejects the certificate.
@@ -415,6 +447,16 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     values = tuple(val for _a, val in anchors)
     if values != cert.diff:
         problems.append("recorded different disagrees with the recomputation")
+    return problems, values
+
+
+def _witness_problems(cert: GfrCertificate, values: tuple | None) -> list[str]:
+    """The checks at the certificate's prime: the characteristic, the
+    verdict, and its witness against the recomputed different `values`
+    (none when the prime-free checks stopped early)."""
+    if values is None:
+        return []
+    problems = []
     nonzero = [val for val in values if val != 0]
     verdict = cert.fedder
     fc = verdict.certificate
@@ -476,6 +518,8 @@ def _type_problems(cert: GfrCertificate) -> list[str]:
             for v, c in value.items()
             if not (_is_int(c) or isinstance(c, Fraction))
         )
+    if not isinstance(cert.fedder, FRegVerdict):
+        return [*problems, f"fedder {cert.fedder!r} is not a verdict"]
     fc = cert.fedder.certificate
     if fc is not None:
         for name in ("p", "e"):

@@ -17,7 +17,7 @@ crepant-pullback coefficients; `classify` solves for those and labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
@@ -135,6 +135,9 @@ class LogPair:
 
     graph: DualGraph
     coeff: Mapping[str, Fraction]
+    # The prime-free half of the certificate pipeline (`bstar.surgery`), set
+    # once on first use, as `DualGraph.lattice` keeps its factorizations.
+    _surgery: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         full = {}

@@ -18,6 +18,7 @@ from frsurf.bstar import (
 from frsurf.cli import main
 from frsurf.complements import ComplementCertificate, minimal_complement
 from frsurf.corpus import (
+    random_corpus,
     a1_tail,
     deliberate_families,
     nonplt_fork,
@@ -27,7 +28,7 @@ from frsurf.corpus import (
     plt_fork_level4,
     plt_fork_level6,
 )
-from frsurf.dgf import parse_germ
+from frsurf.dgf import GermFile, parse_germ, render_germ
 from frsurf.graphs import (
     DualGraph,
     LogPair,
@@ -386,11 +387,19 @@ def test_reverify_detects_tampering():
         ("bc", {**cert.bc, "C": "1"}),
         ("bc", {**cert.bc, "C": True}),
         ("bc", None),
+        ("fedder", None),
     ):
         mutated = dataclasses.replace(cert, **{field: value})
         assert reverify_certificate(pair, mutated) != [], (field, value)
     payload = {**certificate_to_payload(cert), "gamma0": [["A"]]}
     assert reverify_certificate(pair, certificate_from_payload(payload)) != []
+    # a JSON string or null is no chain: "DL" is not read as the chain D, L
+    assert cert.gamma0 == ("D", "L")
+    for chain in ("DL", None):
+        payload = {**certificate_to_payload(cert), "gamma0": chain}
+        assert reverify_certificate(pair, certificate_from_payload(payload)) == [
+            f"gamma0 {chain!r} is not a tuple of vertex names"
+        ]
     # a different with a coefficient 1 or a fourth marked point is reported, not raised
     fork2 = plt_fork_level2()
     cert2 = gfr_certificate(fork2, 7, e_max=6)
@@ -471,3 +480,64 @@ def test_nonplt_diff_shape():
         assert values[0] <= F(1, 2) and values[1] <= F(1, 2) and values[2] < 1
     else:
         assert all(v < 1 for v in values)
+
+
+def _outcome(pair, p):
+    try:
+        return gfr_certificate(pair, p, e_max=6)
+    except PipelineError as exc:
+        return (exc.stage, exc.kind, str(exc))
+
+
+def test_primes_share_the_prime_free_half(monkeypatch):
+    searched = []
+
+    def counting(pair):
+        searched.append(pair)
+        return minimal_complement(pair)
+
+    monkeypatch.setattr("frsurf.bstar.minimal_complement", counting)
+    pairs = [pair for _name, pair in deliberate_families()] + random_corpus(1, 60)
+    kinds = set()
+    for pair in pairs:
+        text = render_germ(GermFile(graph=pair.graph, coeff=dict(pair.coeff)))
+        failures = set()
+        for p in (7, 11, 13):
+            got = _outcome(pair, p)
+            # the same as on a freshly parsed pair that sees this prime alone
+            assert got == _outcome(parse_germ(text).pair(), p), (text, p)
+            if isinstance(got, GfrCertificate):
+                kinds.add(got.case)
+                # each certificate owns its maps: editing one leaves the next prime's alone
+                got.bc[got.center] = got.bstar[got.center] = F(0)
+            else:
+                kinds.add(got[0])
+                failures.add(got)
+        # a failure of the prime-free half reads the same at every prime
+        assert len(failures) <= 1, (text, failures)
+        assert sum(seen is pair for seen in searched) == 1, text
+    assert {"plt", "non_plt", "complement"} <= kinds
+
+
+def test_reverify_reads_nothing_the_pair_keeps(monkeypatch):
+    cases = []
+    for pair in (plt_fork_level6(), nonplt_fork()):
+        cert = gfr_certificate(pair, 7, e_max=6)
+        assert pair._surgery is not None
+        payload = certificate_to_payload(cert)
+        off_center = min(v for v in cert.bc if v != cert.center)
+        for field in ("bc", "bstar"):
+            edited = dict(payload[field])
+            edited[off_center] = "1/7" if edited[off_center] != "1/7" else "1/11"
+            cases.append((pair, certificate_from_payload({**payload, field: edited})))
+            assert reverify_certificate(*cases[-1]) != [], field
+        cases.append((pair, cert))
+    expected = [reverify_certificate(pair, cert) for pair, cert in cases]
+
+    def unreachable(*args):
+        raise AssertionError("reverify_certificate reads the prime-free half")
+
+    monkeypatch.setattr("frsurf.bstar.surgery", unreachable)
+    monkeypatch.setattr("frsurf.bstar.minimal_complement", unreachable)
+    assert [reverify_certificate(pair, cert) for pair, cert in cases] == expected
+    assert expected[2] == expected[5] == []
