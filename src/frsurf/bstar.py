@@ -7,16 +7,17 @@ minimal complement Bc, the center as the first curve of one walk for both
 cases (`_center_and_chain`: the coefficient-1 chain of Bc, extended through
 Supp(Bc - B) to a non-exceptional curve), the coefficient surgery
 m/N -> (m-1)/(N-1) along the rest of that walk (plt case; none when the
-rest is empty) or the convex mix with the trivial-pairing solution (non-plt
+rest is empty) or the convex mix toward the trivial-pairing solution off
+the center, bounded by dominance alone as the lattice is monotone (non-plt
 case), the different of B* along the center as a `P1Pair`, and the
 prime-free checks.  The per-prime half, `gfr_certificate(pair, p)`, runs
-only the monomial test on that different (clause (3)) and the checks of its
-witness.  `reverify_certificate` is the one definition of a valid
-certificate and reads nothing the pair keeps: it checks the complement,
-that B* is the recorded surgery of Bc, anti-nefness of K + B*, the sandwich
-Bc >= B* >= B, plt-ness of (graph, B*) and the different with its anchors,
-then the witness on the recomputed different; `gfr_certificate` returns
-only certificates that pass these checks.
+only the monomial test on that different and the checks of its witness.
+`reverify_certificate` is the one definition of a valid certificate and
+reads nothing the pair keeps: it checks the complement, that B* is the
+recorded surgery of Bc, anti-nefness of K + B*, the sandwich Bc >= B* >= B,
+plt-ness of (graph, B*) and the different with its anchors, then the
+witness on the recomputed different; `gfr_certificate` returns only
+certificates that pass these checks.
 """
 from __future__ import annotations
 
@@ -165,74 +166,34 @@ def _bsharp(graph, bc, gamma_prime) -> dict[str, Fraction]:
 
 
 def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
-    """Trivial-pairing solve off the center, then a strictly interior convex mix.
+    """The walk, Bsharp off its center, and B* = (1-eps) Bc + eps Bsharp at
+    eps = eps_max / 2, eps_max = min(1, min over Bsharp(v) < Bc(v) of
+    (Bc(v) - B(v)) / (Bc(v) - Bsharp(v))): dominance B* >= B alone.
 
-    Writes Bc = B' + B'' with B' supported on the chain minus the center,
-    solves (K + B'' + sum a_i C_i) . C_i = 0 on its exceptional part, forms
-    Bsharp from the solution (zero on its non-exceptional part), checks
-    K + Bsharp pairs nonpositively with every exceptional curve, and mixes
-    B* = (1-eps) Bc + eps Bsharp at eps = eps_max / 2, where eps_max is the
-    exact largest value keeping B* >= B componentwise, its coefficients
-    <= 1 and the solved exceptional coefficients < 1.  Plt-ness of
-    (graph, B*) is left to `reverify_certificate`.
+    Minus the exceptional pairing matrix is a nonsingular M-matrix, so its
+    inverse is >= 0: lowering fixed coefficients lowers the solved ones.  Bc
+    pairs to zero with every exceptional curve, and Bsharp lowers the
+    non-exceptional curves of gamma' (the walk minus the center) to 0.  So
+    (1) Bsharp <= Bc; (2) K + Bsharp pairs with an exceptional E off gamma'
+    as the sum over v in gamma' of (Bsharp - Bc)(v) C_v.E <= 0: anti-nef;
+    (3) the pullback of Bsharp is <= Bc, and (4) < Bc where Bc = 1, as such
+    a curve is joined through exceptional curves of the walk to one lowered
+    to 0; (5) Bsharp < Bc only on gamma', where Bc > B (klt), so eps_max > 0.
+    Hence B* lies in [0, 1], K + B* is anti-nef and its solved exceptional
+    coefficients stay below 1.  `reverify_certificate` checks all of this
+    again, and plt-ness of (graph, B*).
     """
-    graph = pair.graph
-    b = pair.coeff
     path = _center_and_chain(pair, bc)
-    center = path[0]
-    gamma_prime = tuple(path[1:])
+    center, gamma_prime = path[0], tuple(path[1:])
     if not gamma_prime:
-        raise PipelineError(
-            "nonplt-split", "structure", "chain minus the center is empty"
-        )
-    bsharp = _bsharp(graph, bc, gamma_prime)
-    dots = dot_against_exceptionals(graph, bsharp)
-    if not anti_nef_over_base(dots):
-        bad = sorted(j for j, v in dots.items() if v > 0)
-        raise PipelineError(
-            "nonplt-solve",
-            "structure",
-            "K + Bsharp pairs positively against " + ", ".join(bad),
-        )
-
-    # eps bounds: dominance B* >= B, coefficients <= 1, and solved b < 1,
-    # each affine in eps.
-    direction = {v: bsharp[v] - Fraction(bc[v]) for v in graph.ids}
-    bounds = [Fraction(1)]
-    for v in graph.ids:
-        d = direction[v]
-        if d < 0:
-            bounds.append((Fraction(bc[v]) - b[v]) / -d)
-        elif d > 0:
-            room = 1 - Fraction(bc[v])
-            if room <= 0:
-                raise PipelineError(
-                    "epsilon", "structure", f"coefficient at {v!r} cannot grow past 1"
-                )
-            bounds.append(room / d)
-    # The solved b is affine in eps: Bc itself at eps = 0 (Bc pairs trivially
-    # with the exceptional curves), and at eps = 1 the solve for Bsharp, which
-    # may leave [0, 1] and is no boundary.
-    for j, b1 in solve_trivial_pairing(graph, bsharp, graph.exceptional_ids).items():
-        b0 = Fraction(bc[j])
-        slope = b1 - b0
-        if b0 == 1 and slope >= 0:
-            raise PipelineError(
-                "epsilon", "structure", f"solved coefficient at {j!r} cannot drop below 1"
-            )
-        if b0 < 1 and slope > 0:
-            bounds.append((1 - b0) / slope)
-    eps_max = min(bounds)
-    if eps_max <= 0:
-        raise PipelineError("epsilon", "structure", "no room for a positive mix")
-    eps = eps_max / 2
-    bstar = {v: Fraction(bc[v]) + eps * direction[v] for v in graph.ids}
+        raise PipelineError("nonplt-split", "structure", "chain minus the center is empty")
+    bsharp = _bsharp(pair.graph, bc, gamma_prime)
+    direction = {v: bsharp[v] - Fraction(bc[v]) for v in pair.graph.ids}
+    bounds = [(Fraction(bc[v]) - pair.coeff[v]) / -d for v, d in direction.items() if d < 0]
+    eps = min([Fraction(1), *bounds]) / 2
+    bstar = {v: Fraction(bc[v]) + eps * d for v, d in direction.items()}
     return NonPltSurgery(
-        center=center,
-        gamma_prime=gamma_prime,
-        bsharp=bsharp,
-        bstar=bstar,
-        epsilon=eps,
+        center=center, gamma_prime=gamma_prime, bsharp=bsharp, bstar=bstar, epsilon=eps
     )
 
 
@@ -330,16 +291,16 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         )
     cert, p1, problems, values = surgery(pair)
     verdict = is_globally_F_regular(p1, p, e_max)
-    cert = replace(
-        cert, bc=dict(cert.bc), bstar=dict(cert.bstar), fedder=verdict, prime=p, e_max=e_max
-    )
-    problems = problems + _witness_problems(cert, values)
-    if problems == ["stored verdict is not regular"] and verdict.status == "inconclusive":
+    if verdict.status == "inconclusive" and not problems:
         raise PipelineError(
             "fedder",
             "inconclusive",
             f"monomial test exhausted e <= {e_max} at p = {p}",
         )
+    cert = replace(
+        cert, bc=dict(cert.bc), bstar=dict(cert.bstar), fedder=verdict, prime=p, e_max=e_max
+    )
+    problems = problems + _witness_problems(cert, values)
     if problems:
         raise PipelineError("pfreg", "structure", "; ".join(problems))
     return cert
@@ -365,24 +326,38 @@ def certificate_to_payload(cert: GfrCertificate) -> dict:
 
 
 def certificate_from_payload(payload: dict) -> GfrCertificate:
-    eps = payload.get("epsilon")
+    """The certificate `certificate_to_payload` wrote.  Chains and scalars of
+    the wrong type are kept for `reverify_certificate` to report; a field
+    that is missing or cannot be read raises one ValueError naming it."""
+
+    def read(name, parse=lambda value: value):
+        try:
+            return parse(payload[name])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"certificate field {name!r} cannot be read: {exc!r}") from exc
+
+    def chain(value):
+        return tuple(value) if isinstance(value, list) else value
+
+    def coeffs(value):
+        return {v: parse_rational(c) for v, c in value.items()}
+
     return GfrCertificate(
-        case=payload["case"],
-        level=payload["level"],
-        center=payload["center"],
-        # a chain that is no JSON list stays as it is, for `_type_problems`
-        gamma0=tuple(g) if isinstance(g := payload["gamma0"], list) else g,
-        gamma_prime=tuple(g) if isinstance(g := payload["gamma_prime"], list) else g,
-        bc={v: parse_rational(c) for v, c in payload["bc"].items()},
-        bstar={v: parse_rational(c) for v, c in payload["bstar"].items()},
-        epsilon=parse_rational(eps) if eps is not None else None,
-        diff=tuple(parse_rational(v) for v in payload["diff"]),
-        diff_anchors=tuple(
-            (tuple(a), parse_rational(v)) for a, v in payload["diff_anchors"]
+        case=read("case"),
+        level=read("level"),
+        center=read("center"),
+        gamma0=read("gamma0", chain),
+        gamma_prime=read("gamma_prime", chain),
+        bc=read("bc", coeffs),
+        bstar=read("bstar", coeffs),
+        epsilon=read("epsilon", lambda eps: None if eps is None else parse_rational(eps)),
+        diff=read("diff", lambda diff: tuple(map(parse_rational, diff))),
+        diff_anchors=read(
+            "diff_anchors", lambda anchors: tuple((tuple(a), parse_rational(v)) for a, v in anchors)
         ),
-        fedder=verdict_from_payload(payload["fedder"]),
-        prime=payload["p"],
-        e_max=payload["e_max"],
+        fedder=read("fedder", verdict_from_payload),
+        prime=read("p"),
+        e_max=read("e_max"),
     )
 
 

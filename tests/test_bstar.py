@@ -36,6 +36,7 @@ from frsurf.graphs import (
     anti_nef_over_base,
     classify,
     dot_against_exceptionals,
+    solve_trivial_pairing,
 )
 
 N6_DIFF_LISTS = [
@@ -199,8 +200,8 @@ meet E2 L1 1
 
 
 def test_nonplt_surgery_solves_bc_not_again(monkeypatch):
-    # Bc is its own pullback, so the surgery solves twice: Bsharp on the
-    # chain's exceptional curves, then the pullback of Bsharp on all of them.
+    # Bc is its own pullback, and lattice monotonicity bounds the mix by
+    # dominance alone: one solve, Bsharp on the chain's exceptional curves.
     from frsurf import bstar
 
     calls = []
@@ -217,7 +218,38 @@ def test_nonplt_surgery_solves_bc_not_again(monkeypatch):
         surgery = construct_bstar_nonplt(pair, cert.coeffs)
         graph = pair.graph
         on_chain = tuple(v for v in surgery.gamma_prime if graph.vertex(v).exceptional)
-        assert calls == [on_chain, graph.exceptional_ids]
+        assert calls == [on_chain]
+
+
+def test_nonplt_mix_is_bounded_by_dominance_alone():
+    # The facts that make dominance B* >= B the only bound on the mix, on
+    # every non-plt minimal complement of the families and three corpora.
+    pairs = [pair for _name, pair in deliberate_families()]
+    for seed in (1, 2, 3):
+        pairs += random_corpus(seed, 200)
+    seen = 0
+    for pair in pairs:
+        comp = minimal_complement(pair)
+        if comp is None or comp.plt_case:
+            continue
+        seen += 1
+        graph, b, bc = pair.graph, pair.coeff, comp.coeffs
+        surgery = construct_bstar_nonplt(pair, bc)
+        bsharp = surgery.bsharp
+        # (1) Bsharp <= Bc everywhere: no coefficient grows
+        assert all(bsharp[v] <= bc[v] for v in graph.ids)
+        # (2) K + Bsharp is anti-nef
+        assert anti_nef_over_base(dot_against_exceptionals(graph, bsharp))
+        # (3) the pullback of Bsharp is <= Bc, and (4) < Bc where Bc = 1
+        for j, value in solve_trivial_pairing(graph, bsharp, graph.exceptional_ids).items():
+            assert value < bc[j] if bc[j] == 1 else value <= bc[j], j
+        # (5) Bsharp < Bc only on gamma', where Bc > B: eps_max > 0
+        lowered = {v for v in graph.ids if bsharp[v] < bc[v]}
+        assert lowered <= set(surgery.gamma_prime)
+        assert all(bc[v] > b[v] for v in lowered)
+        assert 0 < surgery.epsilon <= F(1, 2)
+        assert all(b[v] <= surgery.bstar[v] <= bc[v] for v in graph.ids)
+    assert seen > 150
 
 
 def test_verify_pfreg_clauses():
@@ -463,6 +495,27 @@ def test_certificate_serialization_round_trip():
     # a string where JSON should carry a number is reported, not raised
     restored = certificate_from_payload({**payload, "p": "7"})
     assert reverify_certificate(pair, restored) == ["prime '7' is not an integer"]
+
+
+def test_certificate_from_payload_names_a_broken_field():
+    import json
+
+    cert = gfr_certificate(nonplt_fork(), 7, e_max=6)
+    payload = json.loads(json.dumps(certificate_to_payload(cert)))
+    some = min(payload["bc"])
+    missing_p = {k: v for k, v in payload.items() if k != "p"}
+    for field, broken in (
+        ("bc", {**payload, "bc": None}),
+        ("bstar", {**payload, "bstar": []}),
+        ("bc", {**payload, "bc": {**payload["bc"], some: 0.5}}),
+        ("epsilon", {**payload, "epsilon": 0.5}),
+        ("diff", {**payload, "diff": None}),
+        ("diff_anchors", {**payload, "diff_anchors": [1]}),
+        ("fedder", {**payload, "fedder": None}),
+        ("p", missing_p),
+    ):
+        with pytest.raises(ValueError, match=f"certificate field '{field}'"):
+            certificate_from_payload(broken)
 
 
 def test_gfr_rejects_e_max_below_one():
