@@ -258,20 +258,13 @@ def hara_table(primes=None) -> list[HaraRow]:
     """
     if primes is None:
         primes = D1_TABLE_PRIMES
+    both = [("D1", CASE_D1, D1_TABLE_PRIMES), ("D2", CASE_D2, D2_TABLE_PRIMES)]
     rows = []
     for p in sorted(set(primes)):
         require_prime(p)
         if p <= 5:
             raise ValueError(f"characteristic must exceed 5, got {p}")
-        tabulated = False
-        if p in D1_TABLE_PRIMES:
-            rows.append(_table_row("D1", CASE_D1, p, 2))
-            tabulated = True
-        if p in D2_TABLE_PRIMES:
-            rows.append(_table_row("D2", CASE_D2, p, 2))
-            tabulated = True
-        if not tabulated:
-            rows.append(_table_row("D1", CASE_D1, p, 2))
-            rows.append(_table_row("D2", CASE_D2, p, 2))
+        cases = [c for c in both if p in c[2]] or both
+        rows += [_table_row(case, pair, p, 2) for case, pair, _primes in cases]
     rows.sort(key=lambda r: (r.p, r.e, r.case))
     return rows

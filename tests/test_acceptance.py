@@ -12,10 +12,10 @@ from frsurf import bstar as bstar_mod
 from frsurf import fedder
 from frsurf.complements import minimal_complement, verify_complement
 from frsurf.corpus import (
-    a1_tail,
     ade_graph,
     affine_ade_graph,
     blowup_chain,
+    family,
     random_corpus,
 )
 from frsurf.fedder import (
@@ -210,7 +210,7 @@ def test_criterion_6_dual_graph_classics():
 
 def test_criterion_7_complement_corpus():
     t0 = time.perf_counter()
-    cert = minimal_complement(a1_tail())
+    cert = minimal_complement(family("a1_tail"))
     assert cert is not None and cert.level == 2
     assert cert.coeffs == {"E": F(1, 2), "L": F(1)}
 

@@ -17,17 +17,7 @@ from frsurf.bstar import (
 )
 from frsurf.cli import main
 from frsurf.complements import ComplementCertificate, minimal_complement
-from frsurf.corpus import (
-    random_corpus,
-    a1_tail,
-    deliberate_families,
-    nonplt_fork,
-    nonplt_line,
-    plt_fork_level2,
-    plt_fork_level3,
-    plt_fork_level4,
-    plt_fork_level6,
-)
+from frsurf.corpus import deliberate_families, family, random_corpus
 from frsurf.dgf import GermFile, parse_germ, render_germ
 from frsurf.graphs import (
     DualGraph,
@@ -69,7 +59,7 @@ def test_center_and_chain_walks_and_extends():
     # a one-curve chain, extended through an exceptional interior curve
     one = {"a": 1, "b": F(1, 2), "x": 0, "y": F(1, 2)}
     assert _center_and_chain(LogPair(g, {}), one) == ["a", "b", "y"]
-    pair = plt_fork_level6()
+    pair = family("plt_fork_level6")
     assert _center_and_chain(pair, minimal_complement(pair).coeffs) == ["C", "D", "L"]
 
 
@@ -119,10 +109,10 @@ def test_construct_bstar_plt_surgery_values():
 
 def test_surgery_preserves_anti_nef_on_families():
     for pair, level in (
-        (plt_fork_level2(), 2),
-        (plt_fork_level3(), 3),
-        (plt_fork_level4(), 4),
-        (plt_fork_level6(), 6),
+        (family("plt_fork_level2"), 2),
+        (family("plt_fork_level3"), 3),
+        (family("plt_fork_level4"), 4),
+        (family("plt_fork_level6"), 6),
     ):
         cert = minimal_complement(pair)
         assert cert.level == level
@@ -141,7 +131,7 @@ def test_surgery_preserves_anti_nef_on_families():
 
 
 def test_nonplt_construction_fork():
-    pair = nonplt_fork()
+    pair = family("nonplt_fork")
     cert = minimal_complement(pair)
     assert not cert.plt_case
     surgery = construct_bstar_nonplt(pair, cert.coeffs)
@@ -165,7 +155,7 @@ def test_nonplt_construction_fork():
 
 
 def test_nonplt_construction_line():
-    pair = nonplt_line()
+    pair = family("nonplt_line")
     cert = minimal_complement(pair)
     surgery = construct_bstar_nonplt(pair, cert.coeffs)
     # chain is L1 - E - L2 with both ends non-exceptional; the center is the
@@ -212,7 +202,7 @@ def test_nonplt_surgery_solves_bc_not_again(monkeypatch):
         return real(graph, coeff, unknowns)
 
     monkeypatch.setattr(bstar, "solve_trivial_pairing", recording)
-    for pair in (nonplt_fork(), nonplt_line()):
+    for pair in (family("nonplt_fork"), family("nonplt_line")):
         cert = minimal_complement(pair)
         calls.clear()
         surgery = construct_bstar_nonplt(pair, cert.coeffs)
@@ -253,7 +243,7 @@ def test_nonplt_mix_is_bounded_by_dominance_alone():
 
 
 def test_verify_pfreg_clauses():
-    pair = plt_fork_level3()
+    pair = family("plt_fork_level3")
     cert = minimal_complement(pair)
     center, *gamma0 = _center_and_chain(pair, cert.coeffs)
     bstar = construct_bstar_plt(cert.coeffs, cert.level, gamma0)
@@ -314,7 +304,7 @@ def test_gfr_plt_center_comes_from_the_reduced_chain(
 def test_gfr_maps_inconclusive_fedder():
     # the p=7 witness of plt_fork_level6 needs e = 3
     with pytest.raises(PipelineError) as err:
-        gfr_certificate(plt_fork_level6(), 7, e_max=2)
+        gfr_certificate(family("plt_fork_level6"), 7, e_max=2)
     assert (err.value.stage, err.value.kind) == ("fedder", "inconclusive")
 
 
@@ -326,7 +316,7 @@ def test_gfr_rejects_broken_sandwich(monkeypatch):
 
     monkeypatch.setattr("frsurf.bstar.construct_bstar_plt", raised)
     with pytest.raises(PipelineError) as err:
-        gfr_certificate(plt_fork_level6(), 7, 6)
+        gfr_certificate(family("plt_fork_level6"), 7, 6)
     assert (err.value.stage, err.value.kind) == ("pfreg", "structure")
     assert "sandwich Bc >= B* >= B fails at A" in str(err.value)
 
@@ -346,10 +336,10 @@ def test_gfr_certificates_on_families():
 
 def test_gfr_rejects_small_prime():
     with pytest.raises(PipelineError) as err:
-        gfr_certificate(a1_tail(), 5)
+        gfr_certificate(family("a1_tail"), 5)
     assert err.value.stage == "hypotheses"
     with pytest.raises(PipelineError):
-        gfr_certificate(a1_tail(), 9)
+        gfr_certificate(family("a1_tail"), 9)
 
 
 def test_gfr_rejects_non_standard():
@@ -370,7 +360,7 @@ def test_gfr_reports_absent_complement():
 
 
 def test_reverify_detects_tampering():
-    pair = plt_fork_level6()
+    pair = family("plt_fork_level6")
     cert = gfr_certificate(pair, 7, e_max=6)
     assert reverify_certificate(pair, cert) == []
     tampered = GfrCertificate(
@@ -433,22 +423,22 @@ def test_reverify_detects_tampering():
             f"gamma0 {chain!r} is not a tuple of vertex names"
         ]
     # a different with a coefficient 1 or a fourth marked point is reported, not raised
-    fork2 = plt_fork_level2()
+    fork2 = family("plt_fork_level2")
     cert2 = gfr_certificate(fork2, 7, e_max=6)
     mutated = dataclasses.replace(cert2, bstar={**cert2.bstar, "D": F(1)})
     assert any(
         "not a P1 pair" in problem for problem in reverify_certificate(fork2, mutated)
     )
     # a toric verdict carries no prime of its own; the certificate's must be valid
-    toric = gfr_certificate(a1_tail(), 7)
+    toric = gfr_certificate(family("a1_tail"), 7)
     assert toric.fedder.toric
-    assert reverify_certificate(a1_tail(), dataclasses.replace(toric, prime=9)) != []
+    assert reverify_certificate(family("a1_tail"), dataclasses.replace(toric, prime=9)) != []
     for value in ("6", 0, -2, 6.0):
         mutated = dataclasses.replace(toric, e_max=value)
-        assert reverify_certificate(a1_tail(), mutated) != [], value
+        assert reverify_certificate(family("a1_tail"), mutated) != [], value
     # the recorded case, chains, epsilon and anchors must be the ones that built B*,
     # and a malformed witness is reported, not raised
-    nonplt = nonplt_fork()
+    nonplt = family("nonplt_fork")
     for germ, c, extra in (
         (nonplt, gfr_certificate(nonplt, 7, e_max=6), (
             ("case", "foo"), ("epsilon", None), ("epsilon", "1/2"),
@@ -486,7 +476,7 @@ def test_reverify_detects_tampering():
 def test_certificate_serialization_round_trip():
     import json
 
-    pair = plt_fork_level6()
+    pair = family("plt_fork_level6")
     cert = gfr_certificate(pair, 7, e_max=6)
     payload = json.loads(json.dumps(certificate_to_payload(cert)))
     restored = certificate_from_payload(payload)
@@ -500,7 +490,7 @@ def test_certificate_serialization_round_trip():
 def test_certificate_from_payload_names_a_broken_field():
     import json
 
-    cert = gfr_certificate(nonplt_fork(), 7, e_max=6)
+    cert = gfr_certificate(family("nonplt_fork"), 7, e_max=6)
     payload = json.loads(json.dumps(certificate_to_payload(cert)))
     some = min(payload["bc"])
     missing_p = {k: v for k, v in payload.items() if k != "p"}
@@ -521,12 +511,12 @@ def test_certificate_from_payload_names_a_broken_field():
 def test_gfr_rejects_e_max_below_one():
     for e_max in (0, -2):
         with pytest.raises(PipelineError) as err:
-            gfr_certificate(a1_tail(), 7, e_max=e_max)
+            gfr_certificate(family("a1_tail"), 7, e_max=e_max)
         assert (err.value.stage, err.value.kind) == ("hypotheses", "hypothesis")
 
 
 def test_nonplt_diff_shape():
-    cert = gfr_certificate(nonplt_fork(), 7, e_max=6)
+    cert = gfr_certificate(family("nonplt_fork"), 7, e_max=6)
     values = sorted(v for v in cert.diff if v != 0)
     assert len(values) in (2, 3)
     if len(values) == 3:
@@ -574,7 +564,7 @@ def test_primes_share_the_prime_free_half(monkeypatch):
 
 def test_reverify_reads_nothing_the_pair_keeps(monkeypatch):
     cases = []
-    for pair in (plt_fork_level6(), nonplt_fork()):
+    for pair in (family("plt_fork_level6"), family("nonplt_fork")):
         cert = gfr_certificate(pair, 7, e_max=6)
         assert pair._surgery is not None
         payload = certificate_to_payload(cert)

@@ -11,15 +11,7 @@ from frsurf.complements import (
     search_complement,
     verify_complement,
 )
-from frsurf.corpus import (
-    a1_tail,
-    deliberate_families,
-    nonplt_fork,
-    nonplt_line,
-    plt_fork_level3,
-    plt_fork_level6,
-    random_corpus,
-)
+from frsurf.corpus import deliberate_families, family, random_corpus
 from frsurf.graphs import (
     GraphError,
     LogPair,
@@ -30,7 +22,7 @@ from frsurf.graphs import (
 
 
 def test_verify_a1_examples():
-    pair = a1_tail()
+    pair = family("a1_tail")
     bc = {"E": F(1, 2), "L": F(1)}
     report = verify_complement(pair, bc, 2)
     assert report.passed
@@ -44,7 +36,7 @@ def test_verify_a1_examples():
     )
 
     # Bc below B somewhere
-    pair_half = a1_tail({"E": F(1, 2), "L": F(1, 2)})
+    pair_half = family("a1_tail_half")
     report_low = verify_complement(pair_half, {"E": F(0), "L": F(1)}, 2)
     assert report_low.checks["dominates"] is False
 
@@ -53,14 +45,14 @@ def test_verify_a1_examples():
 
 
 def test_verify_rejects_bad_level():
-    pair = a1_tail()
+    pair = family("a1_tail")
     report = verify_complement(pair, {"E": F(1, 2), "L": F(1)}, 5)
     assert report.checks["level"] is False
     assert not report.passed
 
 
 def test_search_a1():
-    pair = a1_tail()
+    pair = family("a1_tail")
     cert = search_complement(pair, 2)
     assert cert is not None
     assert cert.coeffs == {"E": F(1, 2), "L": F(1)}
@@ -81,16 +73,16 @@ def test_search_no_carrier_returns_absent():
 
 
 def test_minimal_a1():
-    cert = minimal_complement(a1_tail())
+    cert = minimal_complement(family("a1_tail"))
     assert cert is not None and cert.level == 2
     assert cert.coeffs == {"E": F(1, 2), "L": F(1)}
 
 
 def test_minimal_fork_level3():
-    cert = minimal_complement(plt_fork_level3())
+    cert = minimal_complement(family("plt_fork_level3"))
     assert cert is not None
     assert cert.level == 3 and cert.plt_case
-    pair = plt_fork_level3().with_coeff(cert.coeffs)
+    pair = family("plt_fork_level3").with_coeff(cert.coeffs)
     total, balanced = adjunction_degree(pair, "C")
     assert balanced
     values = sorted(cert.coeffs[v] for v in ("A", "B", "D"))
@@ -98,7 +90,7 @@ def test_minimal_fork_level3():
 
 
 def test_minimal_level6_fork():
-    cert = minimal_complement(plt_fork_level6())
+    cert = minimal_complement(family("plt_fork_level6"))
     assert cert is not None
     assert cert.level == 6 and cert.plt_case
     assert cert.coeffs["C"] == 1
@@ -131,7 +123,7 @@ def test_minimal_rejects_non_standard():
 
 
 def test_nonplt_families_have_small_level():
-    for pair, expected in ((nonplt_fork(), 2), (nonplt_line(), 1)):
+    for pair, expected in ((family("nonplt_fork"), 2), (family("nonplt_line"), 1)):
         cert = minimal_complement(pair)
         assert cert is not None
         assert not cert.plt_case

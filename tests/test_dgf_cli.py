@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from frsurf import corpus
 from frsurf.cli import main
 from frsurf.corpus import ade_graph, affine_ade_graph, blowup_chain, random_corpus
 from frsurf.dgf import GermFile, ParseError, parse_germ, render_germ
@@ -246,20 +247,27 @@ def test_cli_input_errors(tmp_path, capsys):
     assert code == 3
 
 
-def test_shipped_germ_files_match_corpus():
-    from pathlib import Path
+def test_families_are_the_shipped_canonical_germ_files():
+    # FAMILIES names every shipped file, and each file is in canonical form
+    assert sorted(f"{name}.dgf" for name in corpus.FAMILIES) == sorted(
+        p.name for p in corpus.GERMS.glob("*.dgf")
+    )
+    for name in corpus.FAMILIES:
+        text = (corpus.GERMS / f"{name}.dgf").read_text()
+        assert render_germ(parse_germ(text)) == text, name
 
-    from frsurf.corpus import deliberate_families
-    from frsurf.dgf import GermFile, render_germ
 
-    root = Path(__file__).resolve().parent.parent / "germs"
-    names = set()
-    for name, pair in deliberate_families():
-        names.add(f"{name}.dgf")
-        germ = GermFile(graph=pair.graph, coeff=pair.coeff, boundaries={}, primes=[7, 11])
-        on_disk = (root / f"{name}.dgf").read_text()
-        assert on_disk == render_germ(germ), name
-    assert names == {p.name for p in root.glob("*.dgf")}
+def test_random_corpus_reads_the_families_once(monkeypatch):
+    calls = []
+    real = corpus.deliberate_families
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(corpus, "deliberate_families", counting)
+    assert len(corpus.random_corpus(1, 100)) == 100
+    assert len(calls) == 1
 
 
 def test_shipped_germs_run_through_the_cli(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from frsurf import bstar, graphs
 from frsurf.complements import minimal_complement
-from frsurf.corpus import nonplt_fork, plt_fork_level6
+from frsurf.corpus import family
 from frsurf.graphs import (
     DualGraph,
     GraphError,
@@ -118,8 +118,8 @@ def test_zero_leading_minor_is_singular():
     assert not g.lattice(["a", "b"]).definite
 
 
-@pytest.mark.parametrize("make, factorizations", [(plt_fork_level6, 1), (nonplt_fork, 2)])
-def test_each_lattice_is_factored_once(monkeypatch, make, factorizations):
+@pytest.mark.parametrize("name, factorizations", [("plt_fork_level6", 1), ("nonplt_fork", 2)])
+def test_each_lattice_is_factored_once(monkeypatch, name, factorizations):
     calls = []
     real = graphs._ldl
 
@@ -128,11 +128,11 @@ def test_each_lattice_is_factored_once(monkeypatch, make, factorizations):
         return real(diag, off)
 
     monkeypatch.setattr(graphs, "_ldl", counting)
-    pair = make()
+    pair = family(name)
     assert minimal_complement(pair) is not None
     for p in (7, 11, 13):
         bstar.gfr_certificate(pair, p, 6)
     assert len(calls) == len(pair.graph._lattices) == factorizations
     # a fresh graph pays for its own factorization
-    minimal_complement(LogPair(make().graph, pair.coeff))
+    minimal_complement(LogPair(family(name).graph, pair.coeff))
     assert len(calls) == factorizations + 1
