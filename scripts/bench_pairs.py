@@ -11,7 +11,9 @@ BENCHMARK.json.  OUT records, per workload and per end-to-end metric of that
 file, each side's median and quartiles (inclusive method) and the pairs the
 change wins (ties count for neither), and every run's value in seed order;
 also failed ops, incorrect runs, pairs with equal outputs_digest, the seeds,
-the pair count and the machine.
+the pair count and the machine.  Beside each metric's numbers it records the
+two verdicts of `verdict`: whether they support a claimed gain, and whether
+the change stays within the metric's bound.
 """
 
 import argparse
@@ -21,6 +23,22 @@ import platform
 import statistics
 import subprocess
 import sys
+
+
+def verdict(parent, change, better, bound):
+    """`claim_ok`: the change wins at least 9 in 10 pairs (runs at the same
+    index; ties count for neither), and its median is better than the
+    parent's by more than the parent's interquartile range.  `within_bound`:
+    the change's median is worse than the parent's by at most `bound`, a
+    fraction of the parent's median."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, p_median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c_median = statistics.median(change)
+    return {
+        "claim_ok": 10 * wins >= 9 * len(parent) and sign * (c_median - p_median) > q3 - q1,
+        "within_bound": sign * (c_median - p_median) >= -bound * abs(p_median),
+    }
 
 
 def run(checkout, workload, seed, seconds):
@@ -66,7 +84,8 @@ def main():
                 s: dict(zip(("q1", "median", "q3"),
                             statistics.quantiles(v, n=4, method="inclusive")))
                 for s, v in values.items()}, "runs": values, "change_wins": sum(
-                sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))}
+                sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
+                **verdict(values["parent"], values["change"], m["better"], m["bound"])}
         report["workloads"][workload] = row
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)

@@ -36,10 +36,10 @@ from .fedder import (
 )
 from .graphs import (
     LogPair,
-    anti_nef_over_base,
     classify,
     diff_on_component,
-    dot_against_exceptionals,
+    exceptional_dots,
+    numerators,
     solve_trivial_pairing,
 )
 from .padic import is_prime
@@ -88,16 +88,16 @@ def construct_bstar_plt(bc, level: int, gamma0) -> dict[str, Fraction]:
     """
     if gamma0 and level < 2:
         raise PipelineError("surgery", "structure", "surgery needs level >= 2")
-    out = {v: Fraction(c) for v, c in bc.items()}
+    out = dict(bc)
     for v in gamma0:
-        scaled = out[v] * level
-        if scaled.denominator != 1:
+        num, den = out[v].as_integer_ratio()
+        if level * num % den:
             raise PipelineError(
                 "surgery",
                 "structure",
                 f"{v!r} carries {format_rational(out[v])}, not on the 1/{level} grid",
             )
-        out[v] = std_replace(int(scaled), level)
+        out[v] = std_replace(level * num // den, level)
     return out
 
 
@@ -112,7 +112,7 @@ def _center_and_chain(pair: LogPair, bc) -> list[str]:
     the chain whose interior curves are exceptional.
     """
     graph = pair.graph
-    ones = sorted(v for v in graph.ids if Fraction(bc[v]) == 1)
+    ones = sorted(v for v in graph.ids if bc[v] == 1)
     if not ones:
         raise PipelineError("reduced-chain", "structure", "no coefficient-1 vertex")
     link = {v: [n for n, _m in graph.neighbors(v) if n in ones] for v in ones}
@@ -130,7 +130,7 @@ def _center_and_chain(pair: LogPair, bc) -> list[str]:
             "structure",
             "coefficient-1 locus is not a simple chain: " + ", ".join(ones),
         )
-    support = {v for v in graph.ids if Fraction(bc[v]) > pair.coeff[v]} - set(gamma)
+    support = {v for v in graph.ids if bc[v] > pair.coeff[v]} - set(gamma)
 
     def extend(path):
         if not graph.vertex(path[-1]).exceptional:
@@ -160,7 +160,8 @@ def _bsharp(graph, bc, gamma_prime) -> dict[str, Fraction]:
     """Bc zeroed on the chain gamma_prime, whose exceptional curves are then
     solved by trivial pairing (non-exceptional ones stay 0)."""
     gp = set(gamma_prime)
-    b2 = {v: (Fraction(0) if v in gp else Fraction(bc[v])) for v in graph.ids}
+    zero = Fraction(0)
+    b2 = {v: (zero if v in gp else bc[v]) for v in graph.ids}
     exc_gp = [v for v in gamma_prime if graph.vertex(v).exceptional]
     return {**b2, **solve_trivial_pairing(graph, b2, exc_gp)}
 
@@ -188,13 +189,28 @@ def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
     if not gamma_prime:
         raise PipelineError("nonplt-split", "structure", "chain minus the center is empty")
     bsharp = _bsharp(pair.graph, bc, gamma_prime)
-    direction = {v: bsharp[v] - Fraction(bc[v]) for v in pair.graph.ids}
-    bounds = [(Fraction(bc[v]) - pair.coeff[v]) / -d for v, d in direction.items() if d < 0]
+    bounds = [
+        (bc[v] - pair.coeff[v]) / (bc[v] - bsharp[v]) for v in pair.graph.ids if bsharp[v] < bc[v]
+    ]
     eps = min([Fraction(1), *bounds]) / 2
-    bstar = {v: Fraction(bc[v]) + eps * d for v, d in direction.items()}
     return NonPltSurgery(
-        center=center, gamma_prime=gamma_prime, bsharp=bsharp, bstar=bstar, epsilon=eps
+        center=center,
+        gamma_prime=gamma_prime,
+        bsharp=bsharp,
+        bstar=_mix(bc, bsharp, eps),
+        epsilon=eps,
     )
+
+
+def _mix(bc, bsharp, eps) -> dict[str, Fraction]:
+    """(1 - eps) Bc + eps Bsharp on every vertex of Bsharp, one Fraction each."""
+    en, ed = eps.as_integer_ratio()
+    out = {}
+    for v, s in bsharp.items():
+        cn, cd = bc[v].as_integer_ratio()
+        sn, sd = s.as_integer_ratio()
+        out[v] = Fraction((ed - en) * cn * sd + en * sn * cd, ed * cd * sd)
+    return out
 
 
 def _different(pair: LogPair, bstar, center: str) -> tuple[tuple, P1Pair]:
@@ -395,10 +411,11 @@ def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str]
     unknown = sorted({*cert.gamma0, *cert.gamma_prime} - set(graph.ids))
     if unknown:
         return ["chain names unknown vertices " + ", ".join(map(str, unknown))], None
-    outside = sorted(v for v in graph.ids if not 0 <= Fraction(bs[v]) <= 1)
+    bs_den, bs_num = numerators(bs)
+    outside = sorted(v for v, n in bs_num.items() if not 0 <= n <= bs_den)
     if outside:
         return ["B* leaves [0, 1] at " + ", ".join(outside)], None
-    if Fraction(bc[cert.center]) != 1 or Fraction(bs[cert.center]) != 1:
+    if bc[cert.center] != 1 or bs[cert.center] != 1:
         return ["center does not carry coefficient 1"], None
     report = verify_complement(pair, bc, cert.level)
     problems = list(report.details)
@@ -407,10 +424,13 @@ def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str]
         problems.append("recorded case disagrees with the classification")
 
     problems.extend(_surgery_problems(graph, cert))
-    if not anti_nef_over_base(dot_against_exceptionals(graph, bs)):
+    if any(val > 0 for val in exceptional_dots(graph, bs_den, bs_num).values()):
         problems.append("K + B* pairs positively against some exceptional curve")
+    bc_den, bc_num = numerators(bc)
+    b_den, b_num = numerators(b)
     for v in graph.ids:
-        if not Fraction(bc[v]) >= Fraction(bs[v]) >= b[v]:
+        s = bs_num[v]
+        if not (bc_num[v] * bs_den >= s * bc_den and s * b_den >= b_num[v] * bs_den):
             problems.append(f"sandwich Bc >= B* >= B fails at {v}")
     bs_pair = pair.with_coeff(bs)
     if not classify(bs_pair).is_plt:
@@ -467,9 +487,10 @@ def _is_int(value) -> bool:
 
 
 def _type_problems(cert: GfrCertificate) -> list[str]:
-    """Fields of the wrong type (scalars, chains, coefficient maps), and an
-    e_max below 1: the checks of `reverify_certificate` would raise on them
-    or misread them rather than report them."""
+    """Fields of the wrong type (scalars, chains, coefficient maps, the
+    verdict's fields), and an e_max or e_tried below 1: the checks of
+    `reverify_certificate` would raise on them or misread them rather than
+    report them."""
     problems = [
         f"{name} {getattr(cert, name)!r} is not an integer"
         for name in ("level", "prime", "e_max")
@@ -493,9 +514,18 @@ def _type_problems(cert: GfrCertificate) -> list[str]:
             for v, c in value.items()
             if not (_is_int(c) or isinstance(c, Fraction))
         )
+    if not (cert.epsilon is None or _is_int(cert.epsilon) or isinstance(cert.epsilon, Fraction)):
+        problems.append(f"epsilon {cert.epsilon!r} is not an exact rational")
     if not isinstance(cert.fedder, FRegVerdict):
         return [*problems, f"fedder {cert.fedder!r} is not a verdict"]
-    fc = cert.fedder.certificate
+    verdict = cert.fedder
+    if not isinstance(verdict.toric, bool):
+        problems.append(f"verdict toric={verdict.toric!r} is not a bool")
+    if not (verdict.reason is None or isinstance(verdict.reason, str)):
+        problems.append(f"verdict reason {verdict.reason!r} is not a string")
+    if not (verdict.e_tried is None or (_is_int(verdict.e_tried) and verdict.e_tried >= 1)):
+        problems.append(f"verdict e_tried={verdict.e_tried!r} is not a positive integer")
+    fc = verdict.certificate
     if fc is not None:
         for name in ("p", "e"):
             if not _is_int(getattr(fc, name)):
@@ -521,8 +551,7 @@ def _surgery_problems(graph, cert: GfrCertificate) -> list[str]:
             eps = cert.epsilon
             if cert.gamma0 or eps is None or eps <= 0:
                 return ["a non-plt certificate needs an empty gamma0 and epsilon > 0"]
-            bsharp = _bsharp(graph, bc, cert.gamma_prime)
-            expected = {v: bc[v] + eps * (bsharp[v] - bc[v]) for v in graph.ids}
+            expected = _mix(bc, _bsharp(graph, bc, cert.gamma_prime), eps)
     except (PipelineError, ValueError, TypeError) as exc:
         return [f"the recorded surgery cannot be replayed: {exc}"]
     if expected != cert.bstar:

@@ -10,14 +10,15 @@ ones from the trivial-pairing system (an affine map once the exceptional
 lattice is factored).  An on-grid candidate pairs trivially with the
 negative-definite exceptional lattice, so its crepant pullback is itself
 and the search labels it (`graphs.label`) from the values it solved;
-`verify_complement` judges certificates.  On abstract graphs the search is
-complete but may come up empty.
+`verify_complement` judges certificates, and labels one the same way
+when it pairs trivially.  The checks compare integer numerators over a
+common denominator.  On abstract graphs the search is complete but may
+come up empty.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,12 +26,13 @@ from fractions import Fraction
 from .graphs import (
     Classification,
     LogPair,
-    anti_nef_over_base,
     classify,
-    dot_against_exceptionals,
+    exceptional_dots,
     format_rational,
     GraphError,
+    _label,
     label,
+    numerators,
 )
 from .rationals import is_standard
 
@@ -61,12 +63,17 @@ class ComplementCertificate:
 
 
 def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
-    """Evaluate the six defining checks; overall pass = all six."""
+    """Evaluate the six defining checks; overall pass = all six.
+
+    Bc is classified by the crepant pullback it defines: Bc itself on the
+    exceptional curves when K + Bc pairs trivially with them and their
+    lattice is negative definite, the full solve otherwise."""
     graph = pair.graph
     if set(bc) != set(graph.ids):
         raise GraphError("complement vector must cover exactly the graph's vertices")
-    bc = {v: Fraction(c) for v, c in bc.items()}
-    b = pair.coeff
+    bc = {v: c if type(c) is Fraction else Fraction(c) for v, c in bc.items()}
+    den, num = numerators(bc)
+    bden, bnum = numerators(pair.coeff)
     checks: dict[str, bool] = {}
     details: list[str] = []
 
@@ -74,24 +81,31 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
     if not checks["level"]:
         details.append(f"level {level} is not in {{{','.join(map(str, LEVELS))}}}")
 
-    bad = sorted(v for v in bc if bc[v] < b[v])
+    bad = sorted(v for v, n in num.items() if n * bden < bnum[v] * den)
     checks["dominates"] = not bad
     if bad:
         details.append("complement drops below the boundary at " + ", ".join(bad))
 
-    bad = sorted(v for v in bc if (level * bc[v]).denominator != 1)
+    bad = sorted(v for v, n in num.items() if level * n % den)
     checks["integral"] = not bad
     if bad:
         details.append(f"{level} * coefficient not integral at " + ", ".join(bad))
 
-    dots = dot_against_exceptionals(graph, bc)
-    bad = sorted(j for j, val in dots.items() if val != 0)
+    bad = sorted(j for j, val in exceptional_dots(graph, den, num).items() if val)
     checks["trivial_pairing"] = not bad
     if bad:
         details.append("(K + Bc) pairs nonzero against " + ", ".join(bad))
 
     try:
-        cls = classify(pair.with_coeff(bc))
+        bc_pair = pair.with_coeff(bc)  # raises when Bc leaves [0, 1]
+        if not bad and graph.lattice(graph.exceptional_ids).definite:
+            # K + Bc pairs to zero with the exceptional curves, so the
+            # unique crepant pullback is Bc itself: label Bc against itself.
+            exc = graph.exceptional_ids
+            b_exc = {j: num[j] for j in exc}
+            cls = _label(graph, den, num, den, b_exc, {j: bc[j] for j in exc})
+        else:
+            cls = classify(bc_pair)
         checks["lc_not_klt"] = cls.is_lc and not cls.is_klt
         if not checks["lc_not_klt"]:
             details.append(f"pair with Bc classifies {cls.label}, need lc but not klt")
@@ -100,7 +114,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
         checks["lc_not_klt"] = False
         details.append(f"classification failed: {exc}")
 
-    bad = sorted(v for v in bc if level * bc[v] < math.floor((level + 1) * b[v]))
+    bad = sorted(v for v, n in num.items() if level * n < (level + 1) * bnum[v] // bden * den)
     checks["floor_bound"] = not bad
     if bad:
         details.append(
@@ -119,9 +133,9 @@ def _require_hypotheses(pair: LogPair) -> None:
     except GraphError as exc:
         failures.append(str(exc))
         raise ComplementHypothesisError(failures)
-    dots = dot_against_exceptionals(pair.graph, pair.coeff)
-    if not anti_nef_over_base(dots):
-        bad = sorted(j for j, v in dots.items() if v > 0)
+    dots = exceptional_dots(pair.graph, *numerators(pair.coeff))
+    bad = sorted(j for j, v in dots.items() if v > 0)
+    if bad:
         failures.append("-(K+B) is not nef over the base (positive at " + ", ".join(bad) + ")")
     nonstd = sorted(v for v, c in pair.coeff.items() if not is_standard(c))
     if nonstd:
@@ -140,7 +154,8 @@ def _grid(level: int, b) -> range:
     values in [0, 1] that pass the dominance, integrality and floor-bound
     checks of `verify_complement`.
     """
-    return range(max(math.ceil(level * b), math.floor((level + 1) * b)), level + 1)
+    n, d = b.as_integer_ratio()
+    return range(max(-(-level * n // d), (level + 1) * n // d), level + 1)
 
 
 def _search(pair: LogPair, level: int) -> ComplementCertificate | None:

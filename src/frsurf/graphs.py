@@ -13,6 +13,12 @@ trivial-pairing solve on that set is then an affine map in the fixed
 coefficients (`PairingLattice`).  `label` reads
 terminal / canonical / klt / plt / lc off the boundary and the
 crepant-pullback coefficients; `classify` solves for those and labels.
+
+`Fraction`s are the interface: coefficient maps come in and results go out
+as exact `Fraction`s.  The kernels behind it (the solve, the pairing with
+the exceptional curves, the labels) work on integers: each brings a map to
+numerators over the lcm of its denominators (`numerators`), adds and
+compares those, and builds one `Fraction` per value it returns.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ class NotNegativeDefiniteError(GraphError):
 
 
 def _integer(x, what: str) -> int:
+    if type(x) is int:
+        return x
     f = Fraction(x)
     if f.denominator != 1:
         raise GraphError(f"{what} must be an integer, got {format_rational(f)}")
@@ -76,6 +84,7 @@ class DualGraph:
             adj[w][u] = mult
         self._vertices = vs
         self._edges = emap
+        self._edge_list = tuple((u, w, emap[(u, w)]) for (u, w) in sorted(emap))
         self._ids = tuple(sorted(vs))
         self._exceptional_ids = tuple(v for v in self._ids if vs[v].exceptional)
         self._neighbors = {vid: tuple(sorted(adj[vid].items())) for vid in self._ids}
@@ -103,7 +112,7 @@ class DualGraph:
 
     def edges(self):
         """Edges as (u, w, mult), sorted."""
-        return [(u, w, self._edges[(u, w)]) for (u, w) in sorted(self._edges)]
+        return list(self._edge_list)
 
     def neighbors(self, vid: str) -> tuple[tuple[str, int], ...]:
         """(neighbor id, multiplicity) pairs, sorted by id."""
@@ -122,10 +131,13 @@ class DualGraph:
 
     def lattice(self, unknowns: Iterable[str]) -> "PairingLattice":
         """The factored pairing matrix on `unknowns`, built once per set."""
-        key = tuple(sorted(set(unknowns)))
-        lat = self._lattices.get(key)
+        # Keys are sorted tuples without repeats, so a tuple equal to one is one.
+        lat = self._lattices.get(unknowns) if type(unknowns) is tuple else None
         if lat is None:
-            lat = self._lattices[key] = PairingLattice(self, key)
+            key = tuple(sorted(set(unknowns)))
+            lat = self._lattices.get(key)
+            if lat is None:
+                lat = self._lattices[key] = PairingLattice(self, key)
         return lat
 
 
@@ -142,9 +154,13 @@ class LogPair:
     def __post_init__(self):
         full = {}
         for vid in self.graph.ids:
-            full[vid] = Fraction(self.coeff.get(vid, 0))
-            if not 0 <= full[vid] <= 1:
-                raise GraphError(f"coefficient of {vid!r} outside [0, 1]: {full[vid]}")
+            c = self.coeff.get(vid, 0)
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            num, den = c.as_integer_ratio()
+            if not 0 <= num <= den:
+                raise GraphError(f"coefficient of {vid!r} outside [0, 1]: {c}")
+            full[vid] = c
         for vid in self.coeff:
             if vid not in self.graph:
                 raise GraphError(f"coefficient for unknown vertex {vid!r}")
@@ -302,18 +318,31 @@ class PairingLattice:
         cols = {w: solve(rhs) for w, rhs in outside.items()}
         den = lcm(*(x.denominator for c in (x0, *cols.values()) for x in c))
         self.den = den
-        self.x0 = tuple(int(x * den) for x in x0)
-        self.columns = {w: tuple(int(x * den) for x in c) for w, c in cols.items()}
+        self.x0 = tuple(x.numerator * (den // x.denominator) for x in x0)
+        self.columns = {
+            w: tuple(x.numerator * (den // x.denominator) for x in c) for w, c in cols.items()
+        }
 
-    def solve(self, coeff: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    def numerators(self, coeff: Mapping[str, Fraction]) -> tuple[int, list[int]]:
+        """The solve in integers: a denominator and, for each unknown in
+        order, its value times that denominator (not reduced)."""
         if self.x0 is None:
             raise GraphError("singular linear system")
-        x = self.x0
+        terms = []
         for vid, col in self.columns.items():
-            c = coeff.get(vid, 0)
-            if c:
-                x = [a + c * b for a, b in zip(x, col)]
-        return {u: Fraction(a, self.den) for u, a in zip(self.unknowns, x)}
+            n, d = coeff.get(vid, 0).as_integer_ratio()
+            if n:
+                terms.append((n, d, col))
+        scale = lcm(*(d for _n, d, _col in terms))
+        x = [scale * a for a in self.x0]
+        for n, d, col in terms:
+            k = n * (scale // d)
+            x = [a + k * c for a, c in zip(x, col)]
+        return scale * self.den, x
+
+    def solve(self, coeff: Mapping[str, Fraction]) -> dict[str, Fraction]:
+        den, x = self.numerators(coeff)
+        return {u: Fraction(a, den) for u, a in zip(self.unknowns, x)}
 
 
 def solve_trivial_pairing(
@@ -340,18 +369,34 @@ def pullback_coefficients(pair: LogPair) -> PullbackSolution:
     Uniqueness needs the exceptional lattice to be negative definite; each
     discrepancy is a_E = -b_E.
     """
+    den, b = _pullback(pair)
+    b = {u: Fraction(n, den) for u, n in b.items()}
+    return PullbackSolution(b=b, a={k: -v for k, v in b.items()})
+
+
+def _pullback(pair: LogPair) -> tuple[int, dict[str, int]]:
+    """The crepant-pullback coefficients as numerators over a denominator."""
     lattice = pair.graph.lattice(pair.graph.exceptional_ids)
     if not lattice.definite:
         raise NotNegativeDefiniteError(
             "exceptional intersection lattice is not negative definite"
         )
-    b = lattice.solve(pair.coeff)
-    return PullbackSolution(b=b, a={k: -v for k, v in b.items()})
+    den, x = lattice.numerators(pair.coeff)
+    return den, dict(zip(lattice.unknowns, x))
 
 
 def classify(pair: LogPair) -> Classification:
     """Singularity class of the germ modeled by the pair."""
-    return label(pair.graph, pair.coeff, pullback_coefficients(pair).b)
+    bden, bn = _pullback(pair)
+    b = {u: Fraction(n, bden) for u, n in bn.items()}
+    return _label(pair.graph, *numerators(pair.coeff), bden, bn, b)
+
+
+def numerators(coeff: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """The lcm D of the denominators of the values, and each value times D."""
+    ratios = [c.as_integer_ratio() for c in coeff.values()]
+    den = lcm(*{d for _n, d in ratios})
+    return den, dict(zip(coeff, [n * (den // d) for n, d in ratios]))
 
 
 def label(graph: DualGraph, coeff: Mapping[str, Fraction], b: dict) -> Classification:
@@ -361,27 +406,38 @@ def label(graph: DualGraph, coeff: Mapping[str, Fraction], b: dict) -> Classific
     A vertex that carries coefficient 1 in the boundary is a marked log
     canonical center; a solved b = 1 there does not spoil plt-ness (the
     pair on the model keeps that curve reduced), whereas an unmarked b = 1
-    does.
+    does.  Each map is compared as numerators over its common denominator:
+    c_u + c_w < 1 reads n_u + n_w < D.
     """
-    edges = graph.edges()
-    ones = {v for v, c in coeff.items() if c == 1}
-    ones_adjacent = any(u in ones and w in ones for (u, w, _m) in edges)
-    coeff_lt1 = all(c < 1 for c in coeff.values())
-    all_b_neg = all(v < 0 for v in b.values())
-    all_b_le0 = all(v <= 0 for v in b.values())
-    all_b_lt1 = all(v < 1 for v in b.values())
-    all_b_le1 = all(v <= 1 for v in b.values())
-    plt_b_ok = all(v < 1 or (v == 1 and coeff[j] == 1) for j, v in b.items())
-    point_mult_ok = all(coeff[u] + coeff[w] < 1 for (u, w, _m) in edges)
-    # Blowing up a crossing of two non-exceptional curves gives discrepancy
-    # 1 - c_u - c_w; a crossing on an exceptional curve with b <= 0 gives
-    # at least 1 - c >= 0.
-    crossings_ok = all(
-        coeff[u] + coeff[w] <= 1 for (u, w, _m) in edges if u not in b and w not in b
-    )
+    return _label(graph, *numerators(coeff), *numerators(b), b)
 
-    is_terminal = all_b_neg and coeff_lt1 and point_mult_ok
-    is_canonical = all_b_le0 and crossings_ok
+
+def _label(graph, cden: int, c: dict, bden: int, bn: dict, b: dict) -> Classification:
+    """`label` on the numerators c of the boundary over cden and bn of b
+    over bden."""
+    ones = [v for v, n in c.items() if n == cden]
+    coeff_lt1 = not ones and max(c.values(), default=0) < cden
+    ones_adjacent = False
+    point_mult_ok = crossings_ok = True
+    for u, w, _m in graph._edge_list:
+        total = c[u] + c[w]
+        if total >= cden:
+            point_mult_ok = False
+            ones_adjacent = ones_adjacent or c[u] == c[w] == cden
+            # Blowing up a crossing of two non-exceptional curves gives
+            # discrepancy 1 - c_u - c_w; a crossing on an exceptional curve
+            # with b <= 0 gives at least 1 - c >= 0.
+            if total > cden and u not in b and w not in b:
+                crossings_ok = False
+    # The largest b (largest id among equals) decides the four bounds on b.
+    max_v = max(bn, key=lambda j: (bn[j], j)) if bn else None
+    top = -1 if max_v is None else bn[max_v]
+    all_b_lt1 = top < bden
+    all_b_le1 = top <= bden
+    plt_b_ok = all_b_lt1 or all(n < bden or (n == bden and c[j] == cden) for j, n in bn.items())
+
+    is_terminal = top < 0 and coeff_lt1 and point_mult_ok
+    is_canonical = top <= 0 and crossings_ok
     is_klt = all_b_lt1 and coeff_lt1
     is_plt = plt_b_ok and all_b_le1 and not ones_adjacent
     is_lc = all_b_le1
@@ -399,15 +455,13 @@ def label(graph: DualGraph, coeff: Mapping[str, Fraction], b: dict) -> Classific
     else:
         name = "not_lc"
 
-    max_b = max_v = None
-    if b:
-        max_v = max(b, key=lambda j: (b[j], j))
-        max_b = b[max_v]
-    centers = sorted(ones) + sorted(j for j, v in b.items() if v == 1 and j not in ones)
+    centers = sorted(ones)
+    if top >= bden:
+        centers += sorted(j for j, n in bn.items() if n == bden and j not in ones)
     return Classification(
         label=name,
         b=b,
-        max_b=max_b,
+        max_b=None if max_v is None else b[max_v],
         max_b_vertex=max_v,
         lc_centers=tuple(centers),
         is_terminal=is_terminal,
@@ -450,24 +504,22 @@ def adjunction_degree(pair: LogPair, component: str):
     return total, total == 2
 
 
-def dot_against_exceptionals(
-    graph: DualGraph, coeff: Mapping[str, Fraction] | None = None
-) -> dict[str, Fraction]:
-    """Pairing of K + sum coeff(v) . C_v with each exceptional curve."""
-    coeff = coeff or {}
+def exceptional_dots(graph: DualGraph, den: int, num: Mapping[str, int]) -> dict[str, int]:
+    """`dot_against_exceptionals` in integers: for the coefficients num / den
+    (a missing vertex counts as 0), each pairing times den."""
     out = {}
     for j in graph.exceptional_ids:
-        val = Fraction(canonical_dot(graph, j))
-        cj = Fraction(coeff.get(j, 0))
-        if cj:
-            val += cj * graph.vertex(j).self_int
-        for nbr, mult in graph.neighbors(j):
-            c = Fraction(coeff.get(nbr, 0))
-            if c:
-                val += c * mult
+        self_int = graph._vertices[j].self_int
+        val = (-2 - self_int) * den + num.get(j, 0) * self_int
+        for nbr, mult in graph._neighbors[j]:
+            val += num.get(nbr, 0) * mult
         out[j] = val
     return out
 
 
-def anti_nef_over_base(dots: Mapping[str, Fraction]) -> bool:
-    return all(v <= 0 for v in dots.values())
+def dot_against_exceptionals(
+    graph: DualGraph, coeff: Mapping[str, Fraction] | None = None
+) -> dict[str, Fraction]:
+    """Pairing of K + sum coeff(v) . C_v with each exceptional curve."""
+    den, num = numerators(coeff or {})
+    return {j: Fraction(n, den) for j, n in exceptional_dots(graph, den, num).items()}

@@ -11,27 +11,29 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_FRACTION_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'a' or 'a/b' exactly; decimal notation is rejected."""
-    m = _FRACTION_RE.match(text.strip())
+    m = _FRACTION_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"not an exact fraction: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return Fraction(int(num), den)
 
 
 def format_rational(q) -> str:
     """Render as 'num/den', omitting the denominator when it is 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    if type(q) is not Fraction and type(q) is not int:
+        q = Fraction(q)
+    num, den = q.as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def is_standard(c) -> bool:
@@ -40,10 +42,12 @@ def is_standard(c) -> bool:
     In reduced form that means numerator = denominator - 1 (which covers
     0 = (1-1)/1), with 1 accepted as the limiting case.
     """
-    c = Fraction(c)
-    if c < 0 or c > 1:
+    if type(c) is not Fraction and type(c) is not int:
+        c = Fraction(c)
+    num, den = c.as_integer_ratio()
+    if num < 0 or num > den:
         raise ValueError(f"coefficient out of range [0, 1]: {c}")
-    return c == 1 or c.numerator == c.denominator - 1
+    return num == den or num == den - 1
 
 
 def std_replace(num: int, den: int) -> Fraction:

@@ -23,7 +23,6 @@ from frsurf.graphs import (
     DualGraph,
     LogPair,
     Vertex,
-    anti_nef_over_base,
     classify,
     dot_against_exceptionals,
     solve_trivial_pairing,
@@ -120,7 +119,7 @@ def test_surgery_preserves_anti_nef_on_families():
         assert center == "C"
         bstar = construct_bstar_plt(cert.coeffs, level, gamma0)
         dots = dot_against_exceptionals(pair.graph, bstar)
-        assert anti_nef_over_base(dots)
+        assert all(v <= 0 for v in dots.values())
         # equality exactly at interior chain curves with a transverse tail
         interior = [v for v in gamma0 if pair.graph.vertex(v).exceptional]
         for v in interior:
@@ -141,7 +140,7 @@ def test_nonplt_construction_fork():
     assert surgery.bstar["E3"] == F(3, 4)
     assert surgery.bstar["L3"] == F(1, 2)
     dots = dot_against_exceptionals(pair.graph, surgery.bsharp)
-    assert anti_nef_over_base(dots)
+    assert all(v <= 0 for v in dots.values())
     cls = classify(pair.with_coeff(surgery.bstar))
     assert cls.is_plt
     # the doubled mix sits exactly on a constraint boundary
@@ -229,7 +228,7 @@ def test_nonplt_mix_is_bounded_by_dominance_alone():
         # (1) Bsharp <= Bc everywhere: no coefficient grows
         assert all(bsharp[v] <= bc[v] for v in graph.ids)
         # (2) K + Bsharp is anti-nef
-        assert anti_nef_over_base(dot_against_exceptionals(graph, bsharp))
+        assert all(v <= 0 for v in dot_against_exceptionals(graph, bsharp).values())
         # (3) the pullback of Bsharp is <= Bc, and (4) < Bc where Bc = 1
         for j, value in solve_trivial_pairing(graph, bsharp, graph.exceptional_ids).items():
             assert value < bc[j] if bc[j] == 1 else value <= bc[j], j
@@ -441,7 +440,7 @@ def test_reverify_detects_tampering():
     nonplt = family("nonplt_fork")
     for germ, c, extra in (
         (nonplt, gfr_certificate(nonplt, 7, e_max=6), (
-            ("case", "foo"), ("epsilon", None), ("epsilon", "1/2"),
+            ("case", "foo"), ("epsilon", None), ("epsilon", "1/2"), ("epsilon", 0.5),
             ("gamma0", ("E1",)), ("gamma_prime", ()), ("gamma_prime", ("E3",)))),
         (pair, cert, (("epsilon", F(1, 2)), ("gamma0", ("D",)), ("gamma_prime", ("L",)))),
     ):
@@ -485,6 +484,21 @@ def test_certificate_serialization_round_trip():
     # a string where JSON should carry a number is reported, not raised
     restored = certificate_from_payload({**payload, "p": "7"})
     assert reverify_certificate(pair, restored) == ["prime '7' is not an integer"]
+
+
+def test_mistyped_verdict_fields_are_reported():
+    import json
+
+    for name, key, value, problem in (
+        ("a1_tail", "toric", "x", "verdict toric='x' is not a bool"),
+        ("a1_tail", "reason", 5, "verdict reason 5 is not a string"),
+        ("plt_fork_level6", "toric", 1, "verdict toric=1 is not a bool"),
+        ("plt_fork_level6", "e_max_tried", "x", "verdict e_tried='x' is not a positive integer"),
+    ):
+        pair = family(name)
+        payload = json.loads(json.dumps(certificate_to_payload(gfr_certificate(pair, 7, e_max=6))))
+        edited = {**payload, "fedder": {**payload["fedder"], key: value}}
+        assert reverify_certificate(pair, certificate_from_payload(edited)) == [problem], (name, key)
 
 
 def test_certificate_from_payload_names_a_broken_field():

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import kernel_reference
 import pytest
 
 from frsurf.complements import (
@@ -207,7 +208,10 @@ def test_search_matches_brute_force_reference():
 def test_search_labels_agree_with_verify_complement(monkeypatch):
     # The search labels each on-grid candidate from the values it solved;
     # verify_complement, re-deriving all six checks, must reach the same
-    # accept and plt decisions on every one of them.
+    # accept and plt decisions on every one of them, and so must the full
+    # solve.  With one exceptional coefficient raised by 1/level, K + Bc no
+    # longer pairs trivially, and the report must be the one the full solve
+    # gives (`kernel_reference.verify_complement`).
     from frsurf import complements
 
     labelled = []
@@ -237,14 +241,44 @@ def test_search_labels_agree_with_verify_complement(monkeypatch):
                 assert report.passed == (cls.is_lc and not cls.is_klt), (bc, level)
                 # the whole classification, b included, not just the flags
                 assert report.classification == cls, (bc, level)
+                assert report.classification == classify(pair.with_coeff(bc)), (bc, level)
                 accepted += report.passed
                 rejected += not report.passed
+                first = pair.graph.exceptional_ids[0]
+                raised = {**bc, first: bc[first] + F(1, level)}
+                report = real_verify(pair, raised, level)
+                want = kernel_reference.verify_complement(pair, raised, level)
+                assert not report.checks["trivial_pairing"], (raised, level)
+                assert (report.checks, report.details, report.classification) == (
+                    want.checks, want.details, want.classification
+                ), (raised, level)
             if cert is not None:
                 assert labelled[-1][0] == cert.coeffs
                 assert cert.plt_case == labelled[-1][1].is_plt
         minimal_complement(pair)
     assert verified == []
     assert accepted > 60 and rejected > 60
+
+
+def test_verify_complement_solves_when_the_lattice_is_not_definite():
+    # K + Bc pairs trivially, but the exceptional lattice [[-1, 2], [2, -2]]
+    # is indefinite: Bc is no unique pullback, and classification fails.
+    from frsurf.graphs import DualGraph, Vertex
+
+    graph = DualGraph(
+        [Vertex("E", -1, True), Vertex("F", -2, True), Vertex("L", -1, False)],
+        [("E", "F", 2), ("E", "L", 1)],
+    )
+    pair = LogPair(graph, {})
+    bc = {"L": F(1, 2), **solve_trivial_pairing(graph, {"L": F(1, 2)}, ["E", "F"])}
+    assert bc == {"E": F(1, 2), "F": F(1, 2), "L": F(1, 2)}
+    report = verify_complement(pair, bc, 2)
+    assert report.checks["trivial_pairing"] and report.classification is None
+    assert "classification failed: exceptional intersection lattice is not negative definite" in (
+        report.details
+    )
+    want = kernel_reference.verify_complement(pair, bc, 2)
+    assert (report.checks, report.details) == (want.checks, want.details)
 
 
 def test_search_reads_only_its_own_solve(monkeypatch):
@@ -255,7 +289,7 @@ def test_search_reads_only_its_own_solve(monkeypatch):
 
     pairs = [pair for _name, pair in deliberate_families()]
     pairs += random_corpus(seed=3, count=40)
-    for name in ("verify_complement", "classify", "dot_against_exceptionals", "LogPair"):
+    for name in ("verify_complement", "classify", "exceptional_dots", "LogPair"):
         monkeypatch.setattr(complements, name, forbidden)
     found = sum(complements._search(pair, level) is not None for pair in pairs for level in LEVELS)
     assert found > 40
