@@ -30,12 +30,9 @@ from .graphs import (
     LogPair,
     NotNegativeDefiniteError,
     Vertex,
-    adjunction_degree,
-    canonical_dot,
     classify,
     diff_on_component,
     dot_against_exceptionals,
-    intersection_matrix,
     is_negative_definite,
     pullback_coefficients,
 )

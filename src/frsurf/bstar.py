@@ -34,14 +34,7 @@ from .fedder import (
     verdict_to_payload,
     verify_witness,
 )
-from .graphs import (
-    LogPair,
-    classify,
-    diff_on_component,
-    exceptional_dots,
-    numerators,
-    solve_trivial_pairing,
-)
+from .graphs import LogPair, classify, diff_on_component, dot_against_exceptionals, numerators
 from .padic import is_prime
 from .rationals import format_rational, parse_rational, std_replace
 
@@ -163,7 +156,7 @@ def _bsharp(graph, bc, gamma_prime) -> dict[str, Fraction]:
     zero = Fraction(0)
     b2 = {v: (zero if v in gp else bc[v]) for v in graph.ids}
     exc_gp = [v for v in gamma_prime if graph.vertex(v).exceptional]
-    return {**b2, **solve_trivial_pairing(graph, b2, exc_gp)}
+    return {**b2, **graph.lattice(exc_gp).solve(b2)}
 
 
 def construct_bstar_nonplt(pair: LogPair, bc) -> NonPltSurgery:
@@ -424,7 +417,7 @@ def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str]
         problems.append("recorded case disagrees with the classification")
 
     problems.extend(_surgery_problems(graph, cert))
-    if any(val > 0 for val in exceptional_dots(graph, bs_den, bs_num).values()):
+    if any(val > 0 for val in dot_against_exceptionals(graph, bs_den, bs_num).values()):
         problems.append("K + B* pairs positively against some exceptional curve")
     bc_den, bc_num = numerators(bc)
     b_den, b_num = numerators(b)

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 = pass / answer, 1 = definite negative, 2 = inconclusive,
-3 = input error.  Output is deterministic: vertices sorted by id, tables
-sorted by (p, e); --format json mirrors the text report field for field.
+3 = input error, usage errors and unreadable germ paths included.  Output
+is deterministic: vertices sorted by id, tables sorted by (p, e); --format
+json mirrors the text report field for field.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import bstar as bstar_mod
 from . import complements as comp_mod
 from .dgf import GermFile, parse_germ
 from .fedder import P1Pair, hara_table, is_globally_F_regular, verdict_to_payload
-from .graphs import GraphError, classify, pullback_coefficients
+from .graphs import GraphError, classify
 from .padic import binom_mod_p
 from .rationals import format_rational, parse_rational
 
@@ -102,13 +103,12 @@ def _cmd_classify(args) -> tuple[str, int]:
 def _cmd_discrepancies(args) -> tuple[str, int]:
     germ = _read_germ(args.germ)
     pair = germ.pair(args.boundary)
-    sol = pullback_coefficients(pair)
+    b = classify(pair).b
+    a = {vid: -v for vid, v in b.items()}
     lines = ["vertex  b  a"]
-    for vid in sorted(sol.b):
-        lines.append(
-            f"{vid}  {format_rational(sol.b[vid])}  {format_rational(sol.a[vid])}"
-        )
-    payload = {"b": _coeff_map(sol.b), "a": _coeff_map(sol.a)}
+    for vid in sorted(b):
+        lines.append(f"{vid}  {format_rational(b[vid])}  {format_rational(a[vid])}")
+    payload = {"b": _coeff_map(b), "a": _coeff_map(a)}
     return _emit(payload, lines, args.format), EXIT_OK
 
 
@@ -291,13 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (exit 2) or the help (exit 0).
+        return EXIT_INPUT if exc.code else EXIT_OK
     if getattr(args, "command", None) is None:
         parser.print_usage()
         return EXIT_INPUT
     try:
         text, code = args.fn(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}")
         return EXIT_INPUT
     except bstar_mod.PipelineError as exc:

@@ -9,7 +9,7 @@ dominance, integrality and floor-bound checks, and solves the exceptional
 ones from the trivial-pairing system (an affine map once the exceptional
 lattice is factored).  An on-grid candidate pairs trivially with the
 negative-definite exceptional lattice, so its crepant pullback is itself
-and the search labels it (`graphs.label`) from the values it solved;
+and the search labels it (`graphs.label`) from the numerators it solved;
 `verify_complement` judges certificates, and labels one the same way
 when it pairs trivially.  The checks compare integer numerators over a
 common denominator.  On abstract graphs the search is complete but may
@@ -27,10 +27,9 @@ from .graphs import (
     Classification,
     LogPair,
     classify,
-    exceptional_dots,
+    dot_against_exceptionals,
     format_rational,
     GraphError,
-    _label,
     label,
     numerators,
 )
@@ -91,7 +90,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
     if bad:
         details.append(f"{level} * coefficient not integral at " + ", ".join(bad))
 
-    bad = sorted(j for j, val in exceptional_dots(graph, den, num).items() if val)
+    bad = sorted(j for j, val in dot_against_exceptionals(graph, den, num).items() if val)
     checks["trivial_pairing"] = not bad
     if bad:
         details.append("(K + Bc) pairs nonzero against " + ", ".join(bad))
@@ -103,7 +102,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
             # unique crepant pullback is Bc itself: label Bc against itself.
             exc = graph.exceptional_ids
             b_exc = {j: num[j] for j in exc}
-            cls = _label(graph, den, num, den, b_exc, {j: bc[j] for j in exc})
+            cls = label(graph, den, num, den, b_exc, {j: bc[j] for j in exc})
         else:
             cls = classify(bc_pair)
         checks["lc_not_klt"] = cls.is_lc and not cls.is_klt
@@ -133,7 +132,7 @@ def _require_hypotheses(pair: LogPair) -> None:
     except GraphError as exc:
         failures.append(str(exc))
         raise ComplementHypothesisError(failures)
-    dots = exceptional_dots(pair.graph, *numerators(pair.coeff))
+    dots = dot_against_exceptionals(pair.graph, *numerators(pair.coeff))
     bad = sorted(j for j, v in dots.items() if v > 0)
     if bad:
         failures.append("-(K+B) is not nef over the base (positive at " + ", ".join(bad) + ")")
@@ -182,11 +181,12 @@ def _search(pair: LogPair, level: int) -> ComplementCertificate | None:
                 break
             solved.append(m)
         else:
-            bc = {v: Fraction(m, level) for v, m in zip(nonexc, combo)}
-            bc.update((j, Fraction(m, level)) for j, m in zip(exc, solved))
-            cls = label(graph, bc, {j: bc[j] for j in exc})
+            b_exc = dict(zip(exc, solved))
+            b = {j: Fraction(m, level) for j, m in b_exc.items()}
+            cls = label(graph, level, {**dict(zip(nonexc, combo)), **b_exc}, level, b_exc, b)
             if cls.is_lc and not cls.is_klt:
-                return ComplementCertificate(level=level, coeffs=bc, plt_case=cls.is_plt)
+                bc = {v: Fraction(m, level) for v, m in zip(nonexc, combo)}
+                return ComplementCertificate(level=level, coeffs={**bc, **b}, plt_case=cls.is_plt)
     return None
 
 

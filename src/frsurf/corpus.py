@@ -55,83 +55,6 @@ FAMILIES = (
 )
 
 
-def _tree(adjacency: dict[str, list[str]]) -> DualGraph:
-    ids = sorted(set(adjacency) | {w for ws in adjacency.values() for w in ws})
-    vs = [Vertex(i, -2, True) for i in ids]
-    es = []
-    seen = set()
-    for u, ws in adjacency.items():
-        for w in ws:
-            key = (u, w) if u <= w else (w, u)
-            if key not in seen:
-                seen.add(key)
-                es.append((u, w, 1))
-    return DualGraph(vs, es)
-
-
-def ade_graph(kind: str, n: int = 0) -> DualGraph:
-    """Du Val dual graph: all (-2)-curves, kind in A/D/E."""
-    if kind == "A":
-        return _tree({f"v{i}": [f"v{i+1}"] for i in range(1, n)} if n > 1 else {"v1": []})
-    if kind == "D":
-        if n < 4:
-            raise ValueError("D_n needs n >= 4")
-        adj = {f"v{i}": [f"v{i+1}"] for i in range(1, n - 2)}
-        adj[f"v{n-2}"] = adj.get(f"v{n-2}", []) + [f"v{n-1}", f"v{n}"]
-        return _tree(adj)
-    if kind == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E_n needs n in {6, 7, 8}")
-        spine = n - 1
-        adj = {f"v{i}": [f"v{i+1}"] for i in range(1, spine)}
-        adj["b"] = ["v3"]
-        return _tree(adj)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def affine_ade_graph(kind: str, n: int = 0) -> DualGraph:
-    """One extra (-2)-curve making the lattice degenerate (determinant 0)."""
-    if kind == "A":
-        if n == 1:
-            # two (-2)-curves meeting twice
-            return DualGraph(
-                [Vertex("v1", -2, True), Vertex("v2", -2, True)], [("v1", "v2", 2)]
-            )
-        adj = {f"v{i}": [f"v{i+1}"] for i in range(1, n + 1)}
-        adj[f"v{n+1}"] = ["v1"]  # close the cycle
-        return _tree(adj)
-    if kind == "D":
-        if n < 4:
-            raise ValueError("affine D_n needs n >= 4")
-        adj = {f"v{i}": [f"v{i+1}"] for i in range(1, n - 2)}
-        adj[f"v{n-2}"] = adj.get(f"v{n-2}", []) + [f"v{n-1}", f"v{n}"]
-        adj["w1"] = ["v2"]  # second fork, giving the degenerate diagram
-        return _tree(adj)
-    if kind == "E":
-        if n == 6:
-            adj = {f"v{i}": [f"v{i+1}"] for i in range(1, 5)}
-            adj["b"] = ["v3"]
-            adj["b2"] = ["b"]
-            return _tree(adj)
-        if n == 7:
-            adj = {f"v{i}": [f"v{i+1}"] for i in range(1, 7)}
-            adj["b"] = ["v4"]
-            return _tree(adj)
-        if n == 8:
-            adj = {f"v{i}": [f"v{i+1}"] for i in range(1, 8)}
-            adj["b"] = ["v3"]
-            return _tree(adj)
-        raise ValueError("affine E_n needs n in {6, 7, 8}")
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def blowup_chain(n: int) -> DualGraph:
-    """Tower over a smooth point: (-2, ..., -2, -1), the (-1)-curve last."""
-    vs = [Vertex(f"v{i}", -2 if i < n else -1, True) for i in range(1, n + 1)]
-    es = [(f"v{i}", f"v{i+1}", 1) for i in range(1, n)]
-    return DualGraph(vs, es)
-
-
 def family(name: str) -> LogPair:
     """The engineered germ ``name``, read from ``germs/<name>.dgf``."""
     return parse_germ((GERMS / f"{name}.dgf").read_text(encoding="utf-8")).pair()

@@ -14,11 +14,13 @@ coefficients (`PairingLattice`).  `label` reads
 terminal / canonical / klt / plt / lc off the boundary and the
 crepant-pullback coefficients; `classify` solves for those and labels.
 
-`Fraction`s are the interface: coefficient maps come in and results go out
-as exact `Fraction`s.  The kernels behind it (the solve, the pairing with
-the exceptional curves, the labels) work on integers: each brings a map to
-numerators over the lcm of its denominators (`numerators`), adds and
-compares those, and builds one `Fraction` per value it returns.
+`Fraction`s are the interface of log pairs, `classify` (its `b`) and
+`PairingLattice.solve`: coefficient maps come in and results go out as
+exact `Fraction`s.  The graph kernels speak integers: the pairing with the
+exceptional curves (`dot_against_exceptionals`), the crepant pullback
+(`pullback_coefficients`) and the labels (`label`) take and return
+numerators over a denominator, which `numerators` gives for a `Fraction`
+map.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .rationals import format_rational
 
@@ -170,16 +172,7 @@ class LogPair:
         return LogPair(self.graph, coeff)
 
 
-@dataclass(frozen=True)
-class PullbackSolution:
-    """Crepant-pullback coefficients b on the exceptional curves; a = -b."""
-
-    b: dict[str, Fraction]
-    a: dict[str, Fraction]
-
-
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     label: str
     b: dict[str, Fraction]
     max_b: Fraction | None
@@ -190,14 +183,6 @@ class Classification:
     is_klt: bool
     is_plt: bool
     is_lc: bool
-
-
-def intersection_matrix(graph: DualGraph, subset=None) -> list[list[int]]:
-    """Symmetric pairing matrix over sorted(subset) (all vertices if None)."""
-    ids = graph.ids if subset is None else tuple(sorted(subset))
-    for vid in ids:
-        graph.vertex(vid)
-    return [[graph.pairing(u, w) for w in ids] for u in ids]
 
 
 def _ldl(diag: list, off: dict[int, dict[int, object]]):
@@ -261,15 +246,10 @@ def is_negative_definite(matrix) -> bool:
     return len(pivots) == n and all(d < 0 for d in pivots)
 
 
-def canonical_dot(graph: DualGraph, vid: str) -> int:
-    """K . C for a rational curve C: adjunction gives -2 - C^2."""
-    return -2 - graph.vertex(vid).self_int
-
-
 class PairingLattice:
     """The pairing matrix M on a set of curves, factored once.
 
-    It answers the trivial-pairing system of `solve_trivial_pairing`:
+    It answers the trivial-pairing system of `solve`:
     x = M^-1 (r0 - sum_v coeff(v) n_v), where r0_j = -K.E_j and n_v is
     the column of multiplicities of an outside neighbour v against the
     curves.  That is the affine map x = (x0 + sum_v coeff(v) col_v) / den,
@@ -341,41 +321,27 @@ class PairingLattice:
         return scale * self.den, x
 
     def solve(self, coeff: Mapping[str, Fraction]) -> dict[str, Fraction]:
+        """Coefficients on the curves `unknowns` that make
+        (K + sum coeff(v) C_v) . E_j = 0 for every E_j in `unknowns`.
+
+        `coeff` is held fixed on every other vertex (a missing vertex counts
+        as 0); its values may lie outside [0, 1], and its values on
+        `unknowns` are ignored.  Raises GraphError("singular linear system")
+        when the elimination meets a zero pivot, that is a vanishing leading
+        principal minor; a negative-definite matrix, or a principal
+        submatrix of one, never has one.
+        """
         den, x = self.numerators(coeff)
         return {u: Fraction(a, den) for u, a in zip(self.unknowns, x)}
 
 
-def solve_trivial_pairing(
-    graph: DualGraph, coeff: Mapping[str, Fraction], unknowns: Iterable[str]
-) -> dict[str, Fraction]:
-    """Coefficients on the exceptional curves `unknowns` that make
-    (K + sum coeff(v) C_v) . E_j = 0 for every E_j in `unknowns`.
-
-    `coeff` is held fixed on every other vertex (a missing vertex counts as
-    0); its values may lie outside [0, 1], and its values on `unknowns` are
-    ignored.  The system's matrix is the pairing matrix on `unknowns`,
-    factored once per graph and set of curves (`DualGraph.lattice`).
-    Raises GraphError("singular linear system") when the elimination meets
-    a zero pivot, that is a vanishing leading principal minor; a
-    negative-definite matrix, or a principal submatrix of one, never has
-    one.
-    """
-    return graph.lattice(unknowns).solve(coeff)
-
-
-def pullback_coefficients(pair: LogPair) -> PullbackSolution:
-    """Solve (K + sum b_i E_i + non-exceptional boundary) . E_j = 0 for all j.
+def pullback_coefficients(pair: LogPair) -> tuple[int, dict[str, int]]:
+    """Solve (K + sum b_i E_i + non-exceptional boundary) . E_j = 0 for all j:
+    a denominator, and the numerator of each b_E over it.
 
     Uniqueness needs the exceptional lattice to be negative definite; each
     discrepancy is a_E = -b_E.
     """
-    den, b = _pullback(pair)
-    b = {u: Fraction(n, den) for u, n in b.items()}
-    return PullbackSolution(b=b, a={k: -v for k, v in b.items()})
-
-
-def _pullback(pair: LogPair) -> tuple[int, dict[str, int]]:
-    """The crepant-pullback coefficients as numerators over a denominator."""
     lattice = pair.graph.lattice(pair.graph.exceptional_ids)
     if not lattice.definite:
         raise NotNegativeDefiniteError(
@@ -387,9 +353,9 @@ def _pullback(pair: LogPair) -> tuple[int, dict[str, int]]:
 
 def classify(pair: LogPair) -> Classification:
     """Singularity class of the germ modeled by the pair."""
-    bden, bn = _pullback(pair)
+    bden, bn = pullback_coefficients(pair)
     b = {u: Fraction(n, bden) for u, n in bn.items()}
-    return _label(pair.graph, *numerators(pair.coeff), bden, bn, b)
+    return label(pair.graph, *numerators(pair.coeff), bden, bn, b)
 
 
 def numerators(coeff: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
@@ -399,22 +365,17 @@ def numerators(coeff: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
     return den, dict(zip(coeff, [n * (den // d) for n, d in ratios]))
 
 
-def label(graph: DualGraph, coeff: Mapping[str, Fraction], b: dict) -> Classification:
-    """Singularity class from the boundary `coeff` (every vertex) and the
-    crepant-pullback coefficients `b` on the exceptional curves.
+def label(graph: DualGraph, cden: int, c: dict, bden: int, bn: dict, b: dict) -> Classification:
+    """Singularity class from the boundary on every vertex, numerators `c`
+    over `cden`, and the crepant-pullback coefficients on the exceptional
+    curves, numerators `bn` over `bden` and `b` as `Fraction`s (which the
+    classification keeps).
 
     A vertex that carries coefficient 1 in the boundary is a marked log
     canonical center; a solved b = 1 there does not spoil plt-ness (the
     pair on the model keeps that curve reduced), whereas an unmarked b = 1
-    does.  Each map is compared as numerators over its common denominator:
-    c_u + c_w < 1 reads n_u + n_w < D.
+    does.  c_u + c_w < 1 reads c[u] + c[w] < cden.
     """
-    return _label(graph, *numerators(coeff), *numerators(b), b)
-
-
-def _label(graph, cden: int, c: dict, bden: int, bn: dict, b: dict) -> Classification:
-    """`label` on the numerators c of the boundary over cden and bn of b
-    over bden."""
     ones = [v for v, n in c.items() if n == cden]
     coeff_lt1 = not ones and max(c.values(), default=0) < cden
     ones_adjacent = False
@@ -492,21 +453,9 @@ def diff_on_component(pair: LogPair, component: str):
     return out
 
 
-def adjunction_degree(pair: LogPair, component: str):
-    """Sum of the induced coefficients along an exceptional reduced curve.
-
-    When K + B pairs to zero against the curve, the sum must equal 2;
-    returns (sum, sum == 2).
-    """
-    if not pair.graph.vertex(component).exceptional:
-        raise GraphError(f"{component!r} is not exceptional")
-    total = sum((val for _a, val in diff_on_component(pair, component)), Fraction(0))
-    return total, total == 2
-
-
-def exceptional_dots(graph: DualGraph, den: int, num: Mapping[str, int]) -> dict[str, int]:
-    """`dot_against_exceptionals` in integers: for the coefficients num / den
-    (a missing vertex counts as 0), each pairing times den."""
+def dot_against_exceptionals(graph: DualGraph, den: int, num: Mapping[str, int]) -> dict[str, int]:
+    """Pairing of K + sum (num(v) / den) C_v with each exceptional curve,
+    times den (a missing vertex counts as 0)."""
     out = {}
     for j in graph.exceptional_ids:
         self_int = graph._vertices[j].self_int
@@ -515,11 +464,3 @@ def exceptional_dots(graph: DualGraph, den: int, num: Mapping[str, int]) -> dict
             val += num.get(nbr, 0) * mult
         out[j] = val
     return out
-
-
-def dot_against_exceptionals(
-    graph: DualGraph, coeff: Mapping[str, Fraction] | None = None
-) -> dict[str, Fraction]:
-    """Pairing of K + sum coeff(v) . C_v with each exceptional curve."""
-    den, num = numerators(coeff or {})
-    return {j: Fraction(n, den) for j, n in exceptional_dots(graph, den, num).items()}

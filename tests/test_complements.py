@@ -13,13 +13,8 @@ from frsurf.complements import (
     verify_complement,
 )
 from frsurf.corpus import deliberate_families, family, random_corpus
-from frsurf.graphs import (
-    GraphError,
-    LogPair,
-    adjunction_degree,
-    classify,
-    solve_trivial_pairing,
-)
+from frsurf.graphs import GraphError, LogPair, classify
+from kernel_reference import adjunction_degree
 
 
 def test_verify_a1_examples():
@@ -217,9 +212,9 @@ def test_search_labels_agree_with_verify_complement(monkeypatch):
     labelled = []
     real_label = complements.label
 
-    def recording(graph, bc, b):
-        cls = real_label(graph, bc, b)
-        labelled.append((bc, cls))
+    def recording(graph, cden, c, bden, bn, b):
+        cls = real_label(graph, cden, c, bden, bn, b)
+        labelled.append(({v: F(n, cden) for v, n in c.items()}, cls))
         return cls
 
     verified = []
@@ -236,7 +231,9 @@ def test_search_labels_agree_with_verify_complement(monkeypatch):
         for level in LEVELS:
             labelled.clear()
             cert = search_complement(pair, level)
-            for bc, cls in labelled:
+            # verify_complement labels through the recorder too: copy first
+            searched = list(labelled)
+            for bc, cls in searched:
                 report = real_verify(pair, bc, level)
                 assert report.passed == (cls.is_lc and not cls.is_klt), (bc, level)
                 # the whole classification, b included, not just the flags
@@ -253,8 +250,8 @@ def test_search_labels_agree_with_verify_complement(monkeypatch):
                     want.checks, want.details, want.classification
                 ), (raised, level)
             if cert is not None:
-                assert labelled[-1][0] == cert.coeffs
-                assert cert.plt_case == labelled[-1][1].is_plt
+                assert searched[-1][0] == cert.coeffs
+                assert cert.plt_case == searched[-1][1].is_plt
         minimal_complement(pair)
     assert verified == []
     assert accepted > 60 and rejected > 60
@@ -270,7 +267,7 @@ def test_verify_complement_solves_when_the_lattice_is_not_definite():
         [("E", "F", 2), ("E", "L", 1)],
     )
     pair = LogPair(graph, {})
-    bc = {"L": F(1, 2), **solve_trivial_pairing(graph, {"L": F(1, 2)}, ["E", "F"])}
+    bc = {"L": F(1, 2), **graph.lattice(["E", "F"]).solve({"L": F(1, 2)})}
     assert bc == {"E": F(1, 2), "F": F(1, 2), "L": F(1, 2)}
     report = verify_complement(pair, bc, 2)
     assert report.checks["trivial_pairing"] and report.classification is None
@@ -289,7 +286,7 @@ def test_search_reads_only_its_own_solve(monkeypatch):
 
     pairs = [pair for _name, pair in deliberate_families()]
     pairs += random_corpus(seed=3, count=40)
-    for name in ("verify_complement", "classify", "exceptional_dots", "LogPair"):
+    for name in ("verify_complement", "classify", "dot_against_exceptionals", "LogPair"):
         monkeypatch.setattr(complements, name, forbidden)
     found = sum(complements._search(pair, level) is not None for pair in pairs for level in LEVELS)
     assert found > 40
@@ -309,5 +306,5 @@ def test_complement_is_its_own_pullback():
         exc = pair.graph.exceptional_ids
         expect = {j: cert.coeffs[j] for j in exc}
         assert classify(pair.with_coeff(cert.coeffs)).b == expect
-        assert solve_trivial_pairing(pair.graph, cert.coeffs, exc) == expect
+        assert pair.graph.lattice(exc).solve(cert.coeffs) == expect
     assert found > 60

