@@ -8,6 +8,8 @@ are found by the dominance search instead of polynomial expansion.  The
 search reads the digits of a3 and of the least admissible k off the base-p
 expansions of c3 and c2 + c3 - 1 (`test_at`); `verify_witness` re-checks a
 witness from digits extracted from the integers, so it stays independent.
+`fedder_exponents`, `test_at` and `verify_witness` share p^e through one
+memo of the last eight (p, e), so checking a certificate builds it once.
 
 The monomial condition is sufficient, not known to be necessary, so failure
 up to e_max reports "inconclusive"; only the degree precheck (coefficient
@@ -16,6 +18,8 @@ sum >= 2 means -(K + D) is not big) yields a definite negative.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,36 +112,45 @@ def verdict_from_payload(payload: dict) -> FRegVerdict:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _frobenius_power(p: int, e: int) -> int:
+    """p^e, memoized: checking one certificate asks for it three times."""
+    return p**e
+
+
+def _checked_power(p: int, e: int) -> int:
+    """p^e for a prime p and an int e >= 1 (not a bool), else ValueError."""
+    require_prime(p)
+    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
+        raise ValueError(f"Frobenius exponent must be a positive integer, got {e!r}")
+    return _frobenius_power(p, e)
+
+
 def fedder_exponents(pair: P1Pair, p: int, e: int) -> tuple[int, int, int]:
     """The exponents a_i = ceil((p^e - 1) c_i)."""
-    return _power_and_exponents(pair, p, e)[1]
-
-
-def _power_and_exponents(pair: P1Pair, p: int, e: int):
-    """p^e and the exponents, so that `test_at` computes p^e once."""
-    require_prime(p)
-    if e < 1:
-        raise ValueError(f"Frobenius exponent must be positive, got {e}")
-    power = p**e
-    return power, tuple(ceil_mul(c, power - 1) for c in pair.coeffs)
+    power = _checked_power(p, e)
+    return tuple(ceil_mul(c, power - 1) for c in pair.coeffs)
 
 
 def verify_witness(a, i: int, j: int, p: int, e: int) -> bool:
     """Check that x^i y^j really occurs in x^a1 y^a2 (x+y)^a3 with i, j <= p^e - 2.
 
     The coefficient of x^i y^j is C(a3, i - a1), nonzero mod p iff the
-    digits of i - a1 are dominated by those of a3.
+    digits of i - a1 are dominated by those of a3.  The low zero digits of
+    i - a1 contribute 1 (Lucas), so its gcd with p^e strips them first.
     """
-    require_prime(p)
+    power = _checked_power(p, e)
+    cap = power - 2
     a1, a2, a3 = a
-    cap = p**e - 2
     if i + j != a1 + a2 + a3:
         return False
     if i < a1 or j < a2:
         return False
     if i > cap or j > cap:
         return False
-    return binom_mod_p(a3, i - a1, p) != 0
+    k = i - a1
+    g = math.gcd(k, power) if k % p == 0 else 1
+    return binom_mod_p(a3 // g, k // g, p) != 0
 
 
 def test_at(pair: P1Pair, p: int, e: int) -> FRegCertificate | None:
@@ -156,7 +169,8 @@ def test_at(pair: P1Pair, p: int, e: int) -> FRegCertificate | None:
       in [(p^e - 1)(c2 + c3), (p^e - 1)(c2 + c3) + 2).  (lo > 0 with
       c2 + c3 < 1 needs p^e < 3 s2 s3, and then D = 0.)
     """
-    power, (a1, a2, a3) = _power_and_exponents(pair, p, e)
+    a1, a2, a3 = fedder_exponents(pair, p, e)
+    power = _frobenius_power(p, e)
     cap = power - 2
     lo = max(0, a2 + a3 - cap)
     hi = min(a3, cap - a1)
@@ -174,6 +188,7 @@ def test_at(pair: P1Pair, p: int, e: int) -> FRegCertificate | None:
             lo,
             hi,
             p,
+            power,
         )
     if k is None:
         return None

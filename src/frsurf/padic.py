@@ -6,19 +6,24 @@ vectors come from two sources: the divide-and-conquer extraction
 `digits_fixed`, which works for any integer, and `expansion_digits`, which
 reads the digits of an integer just above floor(p^e r / s) off the periodic
 base-p expansion of r/s without dividing big integers.  Lucas residues read
-`digits_fixed` above the p-adic valuation of k; the search reads either
-source and then makes one pass over the digits (never a scan of the
-interval), so exponents with 10^5 base-p digits are fine.
+`digits_fixed` above the p-adic valuation of k, in chunks of base
+B = p^m <= 2^12: Kummer's theorem decides the zero test and a discrete log
+the residue, each a `map` over per-prime tables of B entries; primes above
+2^12 read one digit per chunk and multiply digit binomials.  The search
+reads either source and then makes one pass over the digits (never a scan
+of the interval), so exponents with 10^5 base-p digits are fine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from itertools import compress, count
-from operator import gt, lt
+from itertools import accumulate, compress, count
+from operator import gt, lt, sub
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TABLE_BOUND = 1 << 12
 
 
 def is_prime(n: int) -> bool:
@@ -94,7 +99,7 @@ def _fill_digits(n: int, lo: int, e: int, p: int, out: list, cache: dict) -> Non
 
 
 def digits_fixed(n: int, p: int, e: int, _cache: dict | None = None) -> list[int]:
-    """Little-endian base-p digits of n, exactly e of them.
+    """Little-endian base-p digits of n, exactly e of them, for any base p >= 2.
 
     Divide-and-conquer splitting keeps extraction near O(M(n) log e); plain
     repeated divmod would be quadratic for 10^5-digit operands.
@@ -145,52 +150,90 @@ def expansion_digits(n: int, r: int, s: int, p: int, e: int, power: int) -> list
     return digits
 
 
-def _digit_count(n: int, p: int, cache: dict) -> int:
-    """The number of base-p digits of n >= 0 (0 for n = 0)."""
-    # A lower bound from the bit length, raised until p^e > n.
-    e = max(0, int((n.bit_length() - 1) / math.log2(p)))
-    while _power(p, e, cache) <= n:
-        e += 1
-    return e
+def _binom_digit(a: int, b: int, p: int) -> int:
+    """C(a, b) mod p for digits 0 <= b <= a < p, by the multiplicative
+    formula over min(b, a - b) factors and one modular inverse."""
+    b = min(b, a - b)
+    num = den = 1
+    for i in range(1, b + 1):
+        num = num * (a - b + i) % p
+        den = den * i % p
+    return num * pow(den, -1, p) % p
+
+
+@functools.lru_cache(maxsize=8)
+def _chunk_tables(p: int):
+    """A primitive root g mod p and two tables over the chunks 0 <= x < B,
+    where B = p^m is the largest power of p at most 2^12: the base-p digit
+    sum S(x), and L(x), the sum of log_g(x_j!) over the base-p digits x_j
+    of x.  A chunk x = h p + d has S(x) = S(h) + d and L(x) = L(h) + L(d)."""
+    for root in range(1, p):
+        log, x = {}, 1
+        while x not in log:
+            log[x] = len(log)
+            x = x * root % p
+        if len(log) == p - 1:
+            break
+    log_fact = list(accumulate(map(log.__getitem__, range(1, p)), initial=0))
+    digit_sum, log_sum = [0], [0]
+    while len(digit_sum) * p <= _TABLE_BOUND:
+        digit_sum = [s + d for s in digit_sum for d in range(p)]
+        log_sum = [s + f for s in log_sum for f in log_fact]
+    return root, digit_sum, log_sum
 
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' theorem.
+    """C(n, k) mod p by Lucas' theorem: the product of C(n_i, k_i) mod p
+    over the base-p digits, 0 unless every k_i <= n_i.
 
-    The residue is the product of C(n_i, k_i) mod p over the base-p digits
-    n_i, k_i.  If p^t divides k, the low t digits of k are 0 and contribute
-    C(n_i, 0) = 1, so C(n, k) = C(n // p^t, k // p^t) mod p; with E the
-    digit count of n, g = gcd(k, p^E) = p^t strips those digits first.  The
-    gcd is skipped when p does not divide k: nothing is stripped then, and
-    on a long k it costs about as much as extracting the digits.  Both
-    remaining digit vectors come from
-    `digits_fixed`, so a 10^5-digit n costs about what the dominance search
-    costs, not O(e^2).  Never touches a factorial of a big argument; each
-    factor is a binomial of two digits below p.  Returns 0 when k > n.
+    For p <= 2^12, n and k come from `digits_fixed` in chunks of base
+    B = p^m, the largest power of p at most 2^12, and each test is a
+    `map`/`sum` over the tables of `_chunk_tables`.  By Kummer's theorem,
+    S(n_c) - S(k_c) - S(n_c - k_c) is -(p - 1) times the borrows of
+    n_c - k_c, so k is dominated exactly when every chunk has n_c >= k_c
+    and those digit sums balance.  Then each C(n_i, k_i) is
+    n_i! / (k_i! (n_i - k_i)!), a quotient of units, so the residue is g to
+    the sum over chunks of L(n_c) - L(k_c) - L(n_c - k_c).  Primes above
+    2^12 take one digit per chunk and multiply the digit binomials.  If p
+    divides k, its low zero digits contribute 1, so gcd(k, p^E) strips them
+    first.  Digit counts come from bit lengths; leading zeros are harmless.
+    Returns 1 for k = 0 and 0 when k > n.
     """
     require_prime(p)
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be nonnegative")
     if k > n:
         return 0
-    cache: dict = {}
-    e = _digit_count(n, p, cache)
+    if k == 0:
+        return 1
     if k % p == 0:
-        g = math.gcd(k, _power(p, e, cache))
+        g = math.gcd(k, p ** (int(k.bit_length() / math.log2(p)) + 2))
         n, k = n // g, k // g
-        e = _digit_count(n, p, cache)
-    acc = 1
-    for nd, kd in zip(digits_fixed(n, p, e, cache), digits_fixed(k, p, e, cache)):
-        if kd > nd:
-            return 0
-        if 0 < kd < nd:
-            acc = acc * (math.comb(nd, kd) % p) % p
-    return acc
+    tables = _chunk_tables(p) if p <= _TABLE_BOUND else None
+    base = len(tables[1]) if tables else p
+    e = int(n.bit_length() / math.log2(base)) + 2
+    cache: dict = {}
+    nc, kc = digits_fixed(n, base, e, cache), digits_fixed(k, base, e, cache)
+    if tables is None:
+        acc = 1
+        for nd, kd in zip(nc, kc):
+            if kd > nd:
+                return 0
+            acc = acc * _binom_digit(nd, kd, p) % p
+        return acc
+    root, digit_sum, log_sum = tables
+    dc = list(map(sub, nc, kc))
+    if min(dc) < 0:
+        return 0
+    s, l = digit_sum.__getitem__, log_sum.__getitem__
+    if sum(map(s, nc)) != sum(map(s, kc)) + sum(map(s, dc)):
+        return 0
+    return pow(root, (sum(map(l, nc)) - sum(map(l, kc)) - sum(map(l, dc))) % (p - 1), p)
 
 
-def _least_dominated(digits_a: list, digits_lo: list, lo: int, hi: int, p: int):
+def _least_dominated(digits_a: list, digits_lo: list, lo: int, hi: int, p: int, power: int):
     """Least k in [lo, hi] whose digits are <= a's, from the e-digit
-    little-endian vectors of a and lo, or None.
+    little-endian vectors of a and lo, or None; power is p^e.
 
     lo itself qualifies unless some digit of lo exceeds a's.  Otherwise, at
     the highest such position f, k must exceed lo there or above: the least
@@ -206,7 +249,8 @@ def _least_dominated(digits_a: list, digits_lo: list, lo: int, hi: int, p: int):
     bump = next(compress(count(f + 1), map(lt, digits_lo[f + 1:], digits_a[f + 1:])), None)
     if bump is None:
         return None
-    step = p**bump
+    # p^bump, from the smaller of the powers p^bump and p^(e - bump)
+    step = p**bump if 2 * bump < e else power // p ** (e - bump)
     k = (lo // step + 1) * step
     return k if k <= hi else None
 
@@ -233,5 +277,5 @@ def exists_dominated_in_interval(a: int, lo: int, hi: int, p: int, e: int):
     if lo == 0:
         return 0
     return _least_dominated(
-        digits_fixed(a, p, e, cache), digits_fixed(lo, p, e, cache), lo, hi, p
+        digits_fixed(a, p, e, cache), digits_fixed(lo, p, e, cache), lo, hi, p, cap + 1
     )

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -46,6 +47,42 @@ def test_verify_witness_reference_rows():
     assert not verify_witness((20, 32, 40), 46, 45, 7, 2)
     # monomial outside the p^e - 2 box
     assert not verify_witness((20, 32, 40), 48, 44, 7, 2)
+
+
+def test_frobenius_exponent_must_be_a_positive_int():
+    pair = P1Pair.from_coeffs([F(1, 2), F(2, 3), F(3, 4)])
+    for e in (1.5, 2.0, True, 0, -1, "2"):
+        with pytest.raises(ValueError):
+            verify_witness((0, 0, 0), 0, 0, 7, e)
+        with pytest.raises(ValueError):
+            fedder_exponents(pair, 7, e)
+        with pytest.raises(ValueError):
+            fedder.test_at(pair, 7, e)
+
+
+def test_one_power_per_certificate_check():
+    # fedder_exponents, test_at and verify_witness at one (p, e) share p^e.
+    pair = P1Pair.from_coeffs([F(1, 2), F(2, 3), F(3, 4)])
+    fedder._frobenius_power.cache_clear()
+    a = fedder_exponents(pair, 7, 4000)
+    cert = fedder.test_at(pair, 7, 4000)
+    assert cert.a == a and verify_witness(cert.a, *cert.witness, 7, 4000)
+    info = fedder._frobenius_power.cache_info()
+    assert info.misses == 1 and info.hits >= 2
+
+
+def test_verify_witness_matches_big_binomial():
+    # The gcd with p^e strips the low zero digits of i - a1 before Lucas.
+    rng = random.Random(20261020)
+    for p, e in ((2, 9), (3, 6), (7, 3), (101, 2)):
+        cap = p**e - 2
+        for _ in range(300):
+            a1, a2 = rng.randint(0, cap), rng.randint(0, cap)
+            a3 = rng.randint(0, cap)
+            k = rng.choice([0, rng.randint(0, a3), a3, p ** rng.randint(0, e - 1)])
+            i, j = a1 + k, a2 + a3 - k
+            expected = i <= cap and 0 <= j <= cap and k <= a3 and math.comb(a3, k) % p != 0
+            assert verify_witness((a1, a2, a3), i, j, p, e) == expected, (p, e, a1, a2, a3, k)
 
 
 def test_test_at_returns_canonical_witness():

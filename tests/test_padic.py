@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frsurf.padic import (
+    _chunk_tables,
     binom_mod_p,
     ceil_mul,
     digits_fixed,
@@ -106,6 +108,68 @@ def test_binom_matches_lucas_reference_at_digit_boundaries():
             for n in (top - 1, top, top + 1):
                 for k in (0, 1, p - 1, top - 1, top, n, n + 1, n // 3):
                     assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p), (e, p)
+
+
+def _chunk_base(p):
+    """The largest power of p at most 2^12, or p itself above 2^12."""
+    base = p
+    while base * p <= 2**12:
+        base *= p
+    return base
+
+
+def test_chunk_tables_brute_force():
+    for p in (2, 3, 5, 7, 11, 13):
+        root, digit_sum, log_sum = _chunk_tables(p)
+        assert len(digit_sum) == len(log_sum) == _chunk_base(p)
+        assert {pow(root, i, p) for i in range(p - 1)} == set(range(1, p))
+        for x in range(len(digit_sum)):
+            digits = _divmod_digits(x, p, 12)
+            assert digit_sum[x] == sum(digits), (p, x)
+            fact = math.prod(math.factorial(d) for d in digits) % p
+            assert pow(root, log_sum[x], p) == fact, (p, x)
+
+
+def test_binom_chunks_match_lucas_reference():
+    # 4093 is the largest prime with chunk tables, 4099 the first one above
+    # 2^12 (one digit per chunk, digit binomials multiplied).
+    rng = random.Random(20261020)
+    for p in (2, 3, 61, 4093, 4099):
+        base = _chunk_base(p)
+        m = round(math.log(base, p))  # digits per chunk
+        for j in (1, 2, 3, 31, 32, 33):
+            top = base**j
+            for n in (top - 1, top, top + 1):
+                digits_n = _divmod_digits(n, p, j * m + 1)
+                dominated = _from_digits([rng.randint(0, d) for d in digits_n], p)
+                assert binom_mod_p(n, dominated, p) != 0
+                ks = [0, 1, p - 1, p, base - 1, base, top - 1, top, n, n + 1]
+                for k in ks + [dominated, rng.randint(0, n)]:
+                    assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p), (p, j, n, k)
+            for t in {1, j // 2 + 1, j}:
+                low = t * m  # the lowest digit of chunk t
+                pairs = [
+                    # n - k borrows from digit low + 1 to low, inside chunk t
+                    # (across a boundary when m = 1) ...
+                    (p ** (low + 1), p**low),
+                    # ... and from digit low to low - 1, only across the
+                    # boundary below chunk t
+                    (p**low, p ** (low - 1)),
+                ]
+                for n, k in pairs + [(n + top * p * p, k) for n, k in pairs]:
+                    assert binom_mod_p(n, k, p) == _lucas_reference(n, k, p) == 0, (p, n, k)
+                    assert binom_mod_p(n + k, k, p) == _lucas_reference(n + k, k, p) != 0
+
+
+def test_binom_large_prime_finishes():
+    # C(p - 1, k) = (-1)^k and C(p - 2, k) = (-1)^k (k + 1) mod p; each
+    # digit binomial takes min(k, p - 1 - k) steps, not an exact C(p - 1, k).
+    p = 1_000_003
+    start = time.perf_counter()
+    assert binom_mod_p(p - 1, p // 2, p) == (-1) ** (p // 2) % p
+    for k in (p // 2, (p - 3) // 2):
+        assert binom_mod_p(p - 2, k, p) == (-1) ** k * (k + 1) % p
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=300)
