@@ -121,7 +121,7 @@ def _frobenius_power(p: int, e: int) -> int:
 def _checked_power(p: int, e: int) -> int:
     """p^e for a prime p and an int e >= 1 (not a bool), else ValueError."""
     require_prime(p)
-    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
+    if type(e) is not int or e < 1:
         raise ValueError(f"Frobenius exponent must be a positive integer, got {e!r}")
     return _frobenius_power(p, e)
 

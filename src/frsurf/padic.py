@@ -6,12 +6,12 @@ vectors come from two sources: the divide-and-conquer extraction
 `digits_fixed`, which works for any integer, and `expansion_digits`, which
 reads the digits of an integer just above floor(p^e r / s) off the periodic
 base-p expansion of r/s without dividing big integers.  Lucas residues read
-`digits_fixed` above the p-adic valuation of k, in chunks of base
-B = p^m <= 2^12: Kummer's theorem decides the zero test and a discrete log
-the residue, each a `map` over per-prime tables of B entries; primes above
-2^12 read one digit per chunk and multiply digit binomials.  The search
-reads either source and then makes one pass over the digits (never a scan
-of the interval), so exponents with 10^5 base-p digits are fine.
+`digits_fixed` above the p-adic valuation of k in chunks of base
+B = p^m <= 2^12, where Kummer's theorem decides the zero test and a
+discrete log the residue from per-prime tables (one digit per chunk and a
+product of digit binomials above 2^12).  The search reads either source
+and then makes one pass over the digits (never a scan of the interval), so
+exponents with 10^5 base-p digits are fine.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, repeat
 from operator import gt, lt, sub
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -151,8 +151,10 @@ def expansion_digits(n: int, r: int, s: int, p: int, e: int, power: int) -> list
 
 
 def _binom_digit(a: int, b: int, p: int) -> int:
-    """C(a, b) mod p for digits 0 <= b <= a < p, by the multiplicative
+    """C(a, b) mod p for digits a, b < p (0 if b > a), by the multiplicative
     formula over min(b, a - b) factors and one modular inverse."""
+    if b > a:
+        return 0
     b = min(b, a - b)
     num = den = 1
     for i in range(1, b + 1):
@@ -184,20 +186,19 @@ def _chunk_tables(p: int):
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
     """C(n, k) mod p by Lucas' theorem: the product of C(n_i, k_i) mod p
-    over the base-p digits, 0 unless every k_i <= n_i.
+    over the base-p digits, 0 unless every k_i <= n_i (and when k > n).
 
-    For p <= 2^12, n and k come from `digits_fixed` in chunks of base
-    B = p^m, the largest power of p at most 2^12, and each test is a
-    `map`/`sum` over the tables of `_chunk_tables`.  By Kummer's theorem,
-    S(n_c) - S(k_c) - S(n_c - k_c) is -(p - 1) times the borrows of
-    n_c - k_c, so k is dominated exactly when every chunk has n_c >= k_c
+    For p <= 2^12, n and k are read in chunks of base B = p^m, the largest
+    power of p at most 2^12 (by `digits_fixed` once n >= B), and each test
+    is a `map`/`sum` over the tables of `_chunk_tables`.  By Kummer's
+    theorem, S(n_c) - S(k_c) - S(n_c - k_c) is -(p - 1) times the borrows
+    of n_c - k_c, so k is dominated exactly when every chunk has n_c >= k_c
     and those digit sums balance.  Then each C(n_i, k_i) is
     n_i! / (k_i! (n_i - k_i)!), a quotient of units, so the residue is g to
     the sum over chunks of L(n_c) - L(k_c) - L(n_c - k_c).  Primes above
     2^12 take one digit per chunk and multiply the digit binomials.  If p
     divides k, its low zero digits contribute 1, so gcd(k, p^E) strips them
     first.  Digit counts come from bit lengths; leading zeros are harmless.
-    Returns 1 for k = 0 and 0 when k > n.
     """
     require_prime(p)
     if n < 0 or k < 0:
@@ -211,16 +212,16 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
         n, k = n // g, k // g
     tables = _chunk_tables(p) if p <= _TABLE_BOUND else None
     base = len(tables[1]) if tables else p
+    if tables and n < base:
+        root, digit_sum, log_sum = tables
+        if digit_sum[n] != digit_sum[k] + digit_sum[n - k]:
+            return 0
+        return pow(root, (log_sum[n] - log_sum[k] - log_sum[n - k]) % (p - 1), p)
     e = int(n.bit_length() / math.log2(base)) + 2
     cache: dict = {}
     nc, kc = digits_fixed(n, base, e, cache), digits_fixed(k, base, e, cache)
     if tables is None:
-        acc = 1
-        for nd, kd in zip(nc, kc):
-            if kd > nd:
-                return 0
-            acc = acc * _binom_digit(nd, kd, p) % p
-        return acc
+        return functools.reduce(lambda acc, c: acc * c % p, map(_binom_digit, nc, kc, repeat(p)), 1)
     root, digit_sum, log_sum = tables
     dc = list(map(sub, nc, kc))
     if min(dc) < 0:
