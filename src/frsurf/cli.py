@@ -44,7 +44,10 @@ def _read_germ(path: str) -> GermFile:
 
 
 def _parse_primes(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    primes = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not primes:
+        raise ValueError(f"no prime in --p {text!r}")
+    return primes
 
 
 def _coeff_map(d) -> dict[str, str]:
@@ -199,8 +202,6 @@ def _cmd_fregular(args) -> tuple[str, int]:
     coeffs = [parse_rational(tok) for tok in args.coeffs.split(",") if tok.strip()]
     pair = P1Pair.from_coeffs(coeffs)
     primes = _parse_primes(args.p)
-    if not primes:
-        raise ValueError("pass at least one prime via --p")
     lines = []
     results = []
     worst = EXIT_OK

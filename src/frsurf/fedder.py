@@ -8,8 +8,8 @@ are found by the dominance search instead of polynomial expansion.  The
 search reads the digits of a3 and of the least admissible k off the base-p
 expansions of c3 and c2 + c3 - 1 (`test_at`); `verify_witness` re-checks a
 witness from digits extracted from the integers, so it stays independent.
-`fedder_exponents`, `test_at` and `verify_witness` share p^e through one
-memo of the last eight (p, e), so checking a certificate builds it once.
+`fedder_exponents`, `test_at` and `verify_witness` read p^e from `padic`'s
+power memo (`_power`), so checking a certificate builds it once.
 
 The monomial condition is sufficient, not known to be necessary, so failure
 up to e_max reports "inconclusive"; only the degree precheck (coefficient
@@ -18,12 +18,19 @@ sum >= 2 means -(K + D) is not big) yields a definite negative.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import _least_dominated, binom_mod_p, ceil_mul, expansion_digits, require_prime
+from .padic import (
+    _least_dominated,
+    _power,
+    binom_mod_p,
+    ceil_mul,
+    expansion_digits,
+    require_int,
+    require_prime,
+)
 
 REGULAR = "regular"
 NOT_REGULAR = "not_regular"
@@ -112,18 +119,11 @@ def verdict_from_payload(payload: dict) -> FRegVerdict:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _frobenius_power(p: int, e: int) -> int:
-    """p^e, memoized: checking one certificate asks for it three times."""
-    return p**e
-
-
 def _checked_power(p: int, e: int) -> int:
     """p^e for a prime p and an int e >= 1 (not a bool), else ValueError."""
     require_prime(p)
-    if type(e) is not int or e < 1:
-        raise ValueError(f"Frobenius exponent must be a positive integer, got {e!r}")
-    return _frobenius_power(p, e)
+    require_int(e, 1, "Frobenius exponent e")
+    return _power(p, e)
 
 
 def fedder_exponents(pair: P1Pair, p: int, e: int) -> tuple[int, int, int]:
@@ -170,7 +170,7 @@ def test_at(pair: P1Pair, p: int, e: int) -> FRegCertificate | None:
       c2 + c3 < 1 needs p^e < 3 s2 s3, and then D = 0.)
     """
     a1, a2, a3 = fedder_exponents(pair, p, e)
-    power = _frobenius_power(p, e)
+    power = _power(p, e)
     cap = power - 2
     lo = max(0, a2 + a3 - cap)
     hi = min(a3, cap - a1)
@@ -198,8 +198,7 @@ def test_at(pair: P1Pair, p: int, e: int) -> FRegCertificate | None:
 def is_globally_F_regular(pair: P1Pair, p: int, e_max: int = 4) -> FRegVerdict:
     """Three-valued verdict: regular, definitely not, or inconclusive at e_max."""
     require_prime(p)
-    if e_max < 1:
-        raise ValueError(f"e_max must be at least 1, got {e_max}")
+    require_int(e_max, 1, "e_max")
     if pair.degree >= 2:
         return FRegVerdict(
             NOT_REGULAR,

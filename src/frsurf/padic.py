@@ -6,12 +6,13 @@ vectors come from two sources: the divide-and-conquer extraction
 `digits_fixed`, which works for any integer, and `expansion_digits`, which
 reads the digits of an integer just above floor(p^e r / s) off the periodic
 base-p expansion of r/s without dividing big integers.  Lucas residues read
-`digits_fixed` above the p-adic valuation of k in chunks of base
-B = p^m <= 2^12, where Kummer's theorem decides the zero test and a
-discrete log the residue from per-prime tables (one digit per chunk and a
-product of digit binomials above 2^12).  The search reads either source
-and then makes one pass over the digits (never a scan of the interval), so
-exponents with 10^5 base-p digits are fine.
+n and k in chunks of base B = p^m <= 2^12, where Kummer's theorem decides
+the zero test and a discrete log the residue from per-prime tables (one
+digit per chunk and a product of digit binomials above 2^12).  The search
+reads either source and then makes one pass over the digits (never a scan
+of the interval), so exponents with 10^5 base-p digits are fine.  Powers
+p^k, for the digit trees, the range checks and `fedder`'s p^e, come from
+one bounded memo, `_power`.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ def require_prime(p: int) -> None:
         raise ValueError(f"expected a prime, got {p!r}")
 
 
+def require_int(value, least: int, name: str) -> None:
+    """ValueError unless value is an int (not a bool) and value >= least."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def ceil_mul(c, m: int) -> int:
     """Exact ceil(m * c) for a rational c >= 0 and integer m >= 0."""
     c = Fraction(c)
@@ -70,19 +77,16 @@ def ceil_mul(c, m: int) -> int:
     return q + (1 if r else 0)
 
 
-def _power(p: int, k: int, cache: dict) -> int:
-    v = cache.get(k)
-    if v is None:
-        if k <= 8:
-            v = p**k
-        else:
-            half = k >> 1
-            v = _power(p, half, cache) * _power(p, k - half, cache)
-        cache[k] = v
-    return v
+@functools.lru_cache(maxsize=64)
+def _power(p: int, k: int) -> int:
+    """p^k by square-and-multiply from p^(k >> 1), one memo entry per level."""
+    if k <= 8:
+        return p**k
+    h = _power(p, k >> 1)
+    return h * h * p if k & 1 else h * h
 
 
-def _fill_digits(n: int, lo: int, e: int, p: int, out: list, cache: dict) -> None:
+def _fill_digits(n: int, lo: int, e: int, p: int, out: list) -> None:
     if n == 0:
         return
     if e <= 32:
@@ -93,22 +97,21 @@ def _fill_digits(n: int, lo: int, e: int, p: int, out: list, cache: dict) -> Non
             i += 1
         return
     half = e >> 1
-    top, bottom = divmod(n, _power(p, half, cache))
-    _fill_digits(bottom, lo, half, p, out, cache)
-    _fill_digits(top, lo + half, e - half, p, out, cache)
+    top, bottom = divmod(n, _power(p, half))
+    _fill_digits(bottom, lo, half, p, out)
+    _fill_digits(top, lo + half, e - half, p, out)
 
 
-def digits_fixed(n: int, p: int, e: int, _cache: dict | None = None) -> list[int]:
+def digits_fixed(n: int, p: int, e: int) -> list[int]:
     """Little-endian base-p digits of n, exactly e of them, for any base p >= 2.
 
     Divide-and-conquer splitting keeps extraction near O(M(n) log e); plain
     repeated divmod would be quadratic for 10^5-digit operands.
     """
-    cache = _cache if _cache is not None else {}
-    if n < 0 or n >= _power(p, e, cache):
+    if n < 0 or n >= _power(p, e):
         raise ValueError(f"{n} is not representable with {e} base-{p} digits")
     out = [0] * e
-    _fill_digits(n, 0, e, p, out, cache)
+    _fill_digits(n, 0, e, p, out)
     return out
 
 
@@ -189,37 +192,31 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
     over the base-p digits, 0 unless every k_i <= n_i (and when k > n).
 
     For p <= 2^12, n and k are read in chunks of base B = p^m, the largest
-    power of p at most 2^12 (by `digits_fixed` once n >= B), and each test
-    is a `map`/`sum` over the tables of `_chunk_tables`.  By Kummer's
-    theorem, S(n_c) - S(k_c) - S(n_c - k_c) is -(p - 1) times the borrows
-    of n_c - k_c, so k is dominated exactly when every chunk has n_c >= k_c
-    and those digit sums balance.  Then each C(n_i, k_i) is
-    n_i! / (k_i! (n_i - k_i)!), a quotient of units, so the residue is g to
-    the sum over chunks of L(n_c) - L(k_c) - L(n_c - k_c).  Primes above
-    2^12 take one digit per chunk and multiply the digit binomials.  If p
-    divides k, its low zero digits contribute 1, so gcd(k, p^E) strips them
-    first.  Digit counts come from bit lengths; leading zeros are harmless.
+    power of p at most 2^12 (one chunk each if n < B, else by
+    `digits_fixed`), and each test is a `map`/`sum` over the tables of
+    `_chunk_tables`.  By Kummer's theorem, S(n_c) - S(k_c) - S(n_c - k_c)
+    is -(p - 1) times the borrows of n_c - k_c, so k is dominated exactly
+    when every chunk has n_c >= k_c and those digit sums balance.  Then each
+    C(n_i, k_i) is n_i! / (k_i! (n_i - k_i)!), a quotient of units, so the
+    residue is g to the sum over chunks of L(n_c) - L(k_c) - L(n_c - k_c).
+    Primes above 2^12 take one digit per chunk and multiply the digit
+    binomials.  Digit counts come from bit lengths; leading zeros are
+    harmless.
     """
     require_prime(p)
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative")
+    require_int(n, 0, "n")
+    require_int(k, 0, "k")
     if k > n:
         return 0
     if k == 0:
         return 1
-    if k % p == 0:
-        g = math.gcd(k, p ** (int(k.bit_length() / math.log2(p)) + 2))
-        n, k = n // g, k // g
     tables = _chunk_tables(p) if p <= _TABLE_BOUND else None
     base = len(tables[1]) if tables else p
-    if tables and n < base:
-        root, digit_sum, log_sum = tables
-        if digit_sum[n] != digit_sum[k] + digit_sum[n - k]:
-            return 0
-        return pow(root, (log_sum[n] - log_sum[k] - log_sum[n - k]) % (p - 1), p)
-    e = int(n.bit_length() / math.log2(base)) + 2
-    cache: dict = {}
-    nc, kc = digits_fixed(n, base, e, cache), digits_fixed(k, base, e, cache)
+    if n < base:
+        nc, kc = [n], [k]
+    else:
+        e = int(n.bit_length() / math.log2(base)) + 2
+        nc, kc = digits_fixed(n, base, e), digits_fixed(k, base, e)
     if tables is None:
         return functools.reduce(lambda acc, c: acc * c % p, map(_binom_digit, nc, kc, repeat(p)), 1)
     root, digit_sum, log_sum = tables
@@ -265,10 +262,8 @@ def exists_dominated_in_interval(a: int, lo: int, hi: int, p: int, e: int):
     come from `digits_fixed` and one pass over them decides.
     """
     require_prime(p)
-    if e < 1:
-        raise ValueError(f"digit length must be positive, got {e}")
-    cache: dict = {}
-    cap = _power(p, e, cache) - 1
+    require_int(e, 1, "digit length e")
+    cap = _power(p, e) - 1
     if not 0 <= a <= cap:
         raise ValueError(f"{a} is not representable with {e} base-{p} digits")
     lo = max(lo, 0)
@@ -277,6 +272,4 @@ def exists_dominated_in_interval(a: int, lo: int, hi: int, p: int, e: int):
         return None
     if lo == 0:
         return 0
-    return _least_dominated(
-        digits_fixed(a, p, e, cache), digits_fixed(lo, p, e, cache), lo, hi, p, cap + 1
-    )
+    return _least_dominated(digits_fixed(a, p, e), digits_fixed(lo, p, e), lo, hi, p, cap + 1)

@@ -247,13 +247,16 @@ def test_cli_input_errors(tmp_path, capsys):
     code, out = _run(capsys, "fregular-p1", "--coeffs", "0.5", "--p", "7")
     assert code == 3
 
-    # usage errors (argparse reports them on stderr) and unreadable germ paths
+    # usage errors (argparse reports them on stderr), --p without a prime,
+    # and unreadable germ paths
     germ = str(tmp_path / "bad.dgf")
     for argv in (
         ["bstar", germ, "--e-max", "x"],
         ["classify", germ, "--format", "yaml"],
         ["frobnicate"],
         ["fregular-p1", "--coeffs", "1/2"],
+        ["fregular-p1", "--coeffs", "1/2", "--p", ","],
+        ["hara", "--p", ","],
         ["classify", str(tmp_path / "missing.dgf")],
         ["classify", str(tmp_path)],
     ):

@@ -1,13 +1,15 @@
+import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frsurf import fedder
+from frsurf import fedder, padic
 from frsurf.fedder import (
     CASE_D1,
     CASE_D2,
@@ -60,15 +62,34 @@ def test_frobenius_exponent_must_be_a_positive_int():
             fedder.test_at(pair, 7, e)
 
 
-def test_one_power_per_certificate_check():
-    # fedder_exponents, test_at and verify_witness at one (p, e) share p^e.
+def test_one_power_per_certificate_check(monkeypatch):
+    # fedder_exponents, test_at and verify_witness at one (p, e) all read p^e
+    # from padic's power memo, so p^4000 is built once.  A counting stand-in
+    # with the same lru_cache replaces _power wherever it is bound; it builds
+    # through the real body, whose recursion asks the stand-in too.
+    asked, built = Counter(), Counter()
+    body = padic._power.__wrapped__
+
+    def build(p, k):
+        built[p, k] += 1
+        return body(p, k)
+
+    cached = functools.lru_cache(maxsize=64)(build)
+
+    def counting(p, k):
+        asked[p, k] += 1
+        return cached(p, k)
+
+    for module in (padic, fedder):
+        monkeypatch.setattr(module, "_power", counting)
     pair = P1Pair.from_coeffs([F(1, 2), F(2, 3), F(3, 4)])
-    fedder._frobenius_power.cache_clear()
     a = fedder_exponents(pair, 7, 4000)
     cert = fedder.test_at(pair, 7, 4000)
     assert cert.a == a and verify_witness(cert.a, *cert.witness, 7, 4000)
-    info = fedder._frobenius_power.cache_info()
-    assert info.misses == 1 and info.hits >= 2
+    # fedder_exponents asks twice (once inside test_at), test_at and
+    # verify_witness once each; square-and-multiply keeps one key per level.
+    assert asked[7, 4000] == 4 and built[7, 4000] == 1
+    assert sorted(k for q, k in built if q == 7) == [7, 15, 31, 62, 125, 250, 500, 1000, 2000, 4000]
 
 
 def test_verify_witness_matches_big_binomial():
@@ -175,8 +196,9 @@ def test_monotone_e_coherence():
 
 
 def test_verdict_rejects_e_max_below_one():
+    # an e_max that is no int (a bool, a float, a string) is rejected too
     for pair in (CASE_D1, P1Pair.from_coeffs([F(1, 2)])):
-        for e_max in (0, -2):
+        for e_max in (0, -2, True, 2.5, "2"):
             with pytest.raises(ValueError):
                 is_globally_F_regular(pair, 7, e_max)
 

@@ -71,6 +71,10 @@ def test_binom_examples():
     assert binom_mod_p(3, 5, 7) == 0
     with pytest.raises(ValueError):
         binom_mod_p(10, 2, 9)
+    # n, k >= 0 must be ints, and a bool is no int here
+    for n, k in ((10, 0.5), (10.0, 3), (True, True), (10, "3"), (-1, 0), (5, -2)):
+        with pytest.raises(ValueError):
+            binom_mod_p(n, k, 7)
 
 
 @given(n=st.integers(0, 400), k=st.integers(0, 400), p=st.sampled_from([2, 3, 5, 7, 11, 13]))
@@ -285,6 +289,9 @@ def test_dominated_search_examples():
     assert exists_dominated_in_interval(7, 1, 6, 7, 2) is None
     assert exists_dominated_in_interval(10, 5, 4, 3, 3) is None  # empty interval
     assert exists_dominated_in_interval(10, -5, 0, 3, 3) == 0  # clamped
+    for e in (1.5, True, "2", 0):
+        with pytest.raises(ValueError):
+            exists_dominated_in_interval(5, 1, 3, 7, e)
 
 
 @settings(max_examples=300)
