@@ -155,7 +155,7 @@ def _cmd_complement(args) -> tuple[str, int]:
 def _cmd_bstar(args) -> tuple[str, int]:
     germ = _read_germ(args.germ)
     pair = germ.pair(args.boundary)
-    primes = _parse_primes(args.p) if args.p else germ.primes
+    primes = _parse_primes(args.p) if args.p is not None else germ.primes
     if not primes:
         raise GraphError("no primes: pass --p or add a prime line to the germ file")
     lines = []
@@ -217,7 +217,7 @@ def _cmd_fregular(args) -> tuple[str, int]:
 
 
 def _cmd_hara(args) -> tuple[str, int]:
-    primes = _parse_primes(args.p) if args.p else None
+    primes = _parse_primes(args.p) if args.p is not None else None
     rows = hara_table(primes)
     header = f"{'case':4} {'p':>3} {'e':>2} {'a1':>4} {'a2':>4} {'a3':>4}  {'witness':>12}  {'reference':>12}  ok"
     lines = [header]

@@ -20,7 +20,14 @@ center is a non-exceptional curve germ, and non-plt chains at levels 1 and
 
 The randomized generator produces small negative-definite germs with
 standard coefficients that satisfy the search hypotheses (klt, -(K+B) nef
-over the base); complements may or may not exist on them.
+over the base); complements may or may not exist on them.  It rejects a
+candidate that fails the nef test, an integer pairing that needs no
+lattice, before `_require_hypotheses` classifies it.  For the length of one
+call it keeps one `DualGraph` per drawn shape (self-intersections and edge
+list) whose candidate passed the nef test, and one per distinct family
+graph, so each shape's exceptional lattice is factored once.  Returned
+pairs may therefore share a `DualGraph`, as a family and its jittered
+copies always have.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from pathlib import Path
 
 from .complements import ComplementHypothesisError, _require_hypotheses
 from .dgf import parse_germ
-from .graphs import DualGraph, GraphError, LogPair, Vertex
+from .graphs import DualGraph, LogPair, Vertex, dot_against_exceptionals, numerators
 
 F = Fraction
 
@@ -64,7 +71,11 @@ def deliberate_families() -> list[tuple[str, LogPair]]:
     return [(name, family(name)) for name in FAMILIES]
 
 
-def _random_candidate(rng: random.Random, families: list[LogPair]) -> LogPair:
+def _random_candidate(
+    rng: random.Random, families: list[LogPair], graphs: dict
+) -> tuple[tuple | None, LogPair]:
+    """One draw: the key of its drawn shape (None for a jittered family)
+    and the pair, on the graph `graphs` keeps for that key if there is one."""
     kind = rng.choice(("chain", "chain", "fork", "family_jitter"))
     if kind == "family_jitter":
         base = rng.choice(families)
@@ -74,7 +85,7 @@ def _random_candidate(rng: random.Random, families: list[LogPair]) -> LogPair:
         if tails:
             v = rng.choice(tails)
             coeff[v] = rng.choice((F(0), F(1, 2)))
-        return LogPair(base.graph, coeff)
+        return None, LogPair(base.graph, coeff)
     n = rng.randint(1, 4)
     selfs = [rng.choice((-1, -2, -2, -2, -3)) for _ in range(n)]
     vs = [Vertex(f"E{i}", selfs[i - 1], True) for i in range(1, n + 1)]
@@ -87,13 +98,23 @@ def _random_candidate(rng: random.Random, families: list[LogPair]) -> LogPair:
     for t in range(1, n_tails + 1):
         anchor = rng.choice([v.id for v in vs if v.exceptional])
         vs.append(Vertex(f"L{t}", 0, False))
-        if (anchor, f"L{t}") not in [(u, w) for u, w, _ in es]:
-            es.append((anchor, f"L{t}", 1))
+        es.append((anchor, f"L{t}", 1))
     coeff = {}
     for v in vs:
         if rng.random() < 0.4:
             coeff[v.id] = rng.choice(STANDARD_POOL)
-    return LogPair(DualGraph(vs, es), coeff)
+    # Every tail has an edge, so the self-intersections and the edges fix the graph.
+    key = (tuple(selfs), tuple(es))
+    graph = graphs.get(key)
+    return key, LogPair(graph if graph is not None else DualGraph(vs, es), coeff)
+
+
+def _nef_over_base(pair: LogPair) -> bool:
+    """-(K+B) is nef over the base: K+B pairs nonpositively with every
+    exceptional curve.  `_require_hypotheses` requires the same; this test
+    is in integers and factors no lattice."""
+    dots = dot_against_exceptionals(pair.graph, *numerators(pair.coeff))
+    return all(v <= 0 for v in dots.values())
 
 
 def _admissible(pair: LogPair) -> bool:
@@ -107,17 +128,25 @@ def _admissible(pair: LogPair) -> bool:
 def random_corpus(seed: int, count: int) -> list[LogPair]:
     """Deterministic corpus of germs satisfying the search hypotheses."""
     rng = random.Random(seed)
-    families = [pair for _name, pair in deliberate_families()]
+    # The per-call graph memo: drawn shapes, and families with equal graphs
+    # (a1_tail and a1_tail_half) sharing one.
+    graphs: dict = {}
+    families = []
+    for _name, pair in deliberate_families():
+        g = pair.graph
+        graph = graphs.setdefault((tuple(map(g.vertex, g.ids)), tuple(g.edges())), g)
+        families.append(pair if graph is g else LogPair(graph, pair.coeff))
     out = list(families)
     guard = 0
     while len(out) < count:
         guard += 1
         if guard > 100000:
             raise RuntimeError("corpus generator stalled")
-        try:
-            cand = _random_candidate(rng, families)
-        except GraphError:
+        key, cand = _random_candidate(rng, families, graphs)
+        if not _nef_over_base(cand):
             continue
+        if key is not None:
+            graphs[key] = cand.graph
         if _admissible(cand):
             out.append(cand)
     return out[:count]

@@ -71,8 +71,7 @@ def ceil_mul(c, m: int) -> int:
     c = Fraction(c)
     if c < 0:
         raise ValueError(f"coefficient must be nonnegative, got {c}")
-    if m < 0:
-        raise ValueError(f"multiplier must be nonnegative, got {m}")
+    require_int(m, 0, "multiplier m")
     q, r = divmod(m * c.numerator, c.denominator)
     return q + (1 if r else 0)
 
@@ -108,7 +107,10 @@ def digits_fixed(n: int, p: int, e: int) -> list[int]:
     Divide-and-conquer splitting keeps extraction near O(M(n) log e); plain
     repeated divmod would be quadratic for 10^5-digit operands.
     """
-    if n < 0 or n >= _power(p, e):
+    require_int(n, 0, "n")
+    require_int(p, 2, "base p")
+    require_int(e, 0, "digit length e")
+    if n >= _power(p, e):
         raise ValueError(f"{n} is not representable with {e} base-{p} digits")
     out = [0] * e
     _fill_digits(n, 0, e, p, out)

@@ -247,7 +247,8 @@ def test_cli_input_errors(tmp_path, capsys):
     code, out = _run(capsys, "fregular-p1", "--coeffs", "0.5", "--p", "7")
     assert code == 3
 
-    # usage errors (argparse reports them on stderr), --p without a prime,
+    # usage errors (argparse reports them on stderr), --p without a prime
+    # (an empty --p too, which never falls back to a default or the file),
     # and unreadable germ paths
     germ = str(tmp_path / "bad.dgf")
     for argv in (
@@ -257,6 +258,8 @@ def test_cli_input_errors(tmp_path, capsys):
         ["fregular-p1", "--coeffs", "1/2"],
         ["fregular-p1", "--coeffs", "1/2", "--p", ","],
         ["hara", "--p", ","],
+        ["hara", "--p", ""],
+        ["bstar", str(corpus.GERMS / "a1_tail.dgf"), "--p", ""],  # the file names primes
         ["classify", str(tmp_path / "missing.dgf")],
         ["classify", str(tmp_path)],
     ):

@@ -255,6 +255,22 @@ def test_digits_fixed():
         digits_fixed(-1, 7, 5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: digits_fixed(5.0, 7, 3),  # a float n
+        lambda: digits_fixed(5, 7, True),  # a bool digit length
+        lambda: digits_fixed(5, 7, 2.5),  # a fractional digit length
+        lambda: digits_fixed(5, 1, 3),  # a base below 2
+        lambda: ceil_mul("1/2", 2.5),  # a fractional multiplier
+        lambda: ceil_mul(F(1, 2), -1),  # a negative multiplier
+    ],
+)
+def test_digits_fixed_and_ceil_mul_check_their_integer_arguments(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def test_digits_fixed_divide_and_conquer_path():
     rng = random.Random(7)
     for p in (2, 7, 97):
