@@ -391,7 +391,6 @@ def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str]
     of (graph, B*) and the different with its anchors.  Returns the problems
     and the recomputed different, None when a field stops the check early."""
     graph = pair.graph
-    b = pair.coeff
     bc = cert.bc
     bs = cert.bstar
 
@@ -420,10 +419,9 @@ def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str]
     if any(val > 0 for val in dot_against_exceptionals(graph, bs_den, bs_num).values()):
         problems.append("K + B* pairs positively against some exceptional curve")
     bc_den, bc_num = numerators(bc)
-    b_den, b_num = numerators(b)
     for v in graph.ids:
         s = bs_num[v]
-        if not (bc_num[v] * bs_den >= s * bc_den and s * b_den >= b_num[v] * bs_den):
+        if not (bc_num[v] * bs_den >= s * bc_den and s * pair.den >= pair.num[v] * bs_den):
             problems.append(f"sandwich Bc >= B* >= B fails at {v}")
     bs_pair = pair.with_coeff(bs)
     if not classify(bs_pair).is_plt:

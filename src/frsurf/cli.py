@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("discrepancies", _cmd_discrepancies, germ=True, boundary=True, help="crepant pullback and discrepancies")
     add("negdef", _cmd_negdef, germ=True, help="negative definiteness of the exceptional lattice")
     c = add("complement", _cmd_complement, germ=True, boundary=True, help="search for an N-complement")
-    c.add_argument("--n", type=int, default=None, help=f"fixed level (default: minimal over {_LEVELS})")
+    c.add_argument("--n", type=int, choices=comp_mod.LEVELS, help="fixed level (default: the minimal one)")
     bs = add("bstar", _cmd_bstar, germ=True, boundary=True, help="full F-regularity certificate pipeline")
     bs.add_argument("--p", default=None, help="comma-separated primes (default: the germ file's prime line)")
     bs.add_argument("--e-max", type=int, default=4, dest="e_max")

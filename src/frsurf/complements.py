@@ -9,11 +9,14 @@ dominance, integrality and floor-bound checks, and solves the exceptional
 ones from the trivial-pairing system (an affine map once the exceptional
 lattice is factored).  An on-grid candidate pairs trivially with the
 negative-definite exceptional lattice, so its crepant pullback is itself
-and the search labels it (`graphs.label`) from the numerators it solved;
-`verify_complement` judges certificates, and labels one the same way
-when it pairs trivially.  The checks compare integer numerators over a
-common denominator.  On abstract graphs the search is complete but may
-come up empty.
+and the search labels it (`graphs.label`) from the numerators it solved.
+`verify_complement` judges certificates and classifies Bc
+(`graphs.classify`); when K + Bc pairs trivially the solve returns Bc, so
+both reach the same classification.  The checks compare integer numerators
+over a common denominator; for the boundary B they are the pair's own
+`den` and `num`.  The hypotheses, and the corpus generator's early
+rejection, share one nef test (`_positive_dots`).  On abstract graphs the
+search is complete but may come up empty.
 """
 
 from __future__ import annotations
@@ -64,15 +67,12 @@ class ComplementCertificate:
 def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
     """Evaluate the six defining checks; overall pass = all six.
 
-    Bc is classified by the crepant pullback it defines: Bc itself on the
-    exceptional curves when K + Bc pairs trivially with them and their
-    lattice is negative definite, the full solve otherwise."""
+    Bc is classified by the crepant pullback it defines (`classify`)."""
     graph = pair.graph
     if set(bc) != set(graph.ids):
         raise GraphError("complement vector must cover exactly the graph's vertices")
     bc = {v: c if type(c) is Fraction else Fraction(c) for v, c in bc.items()}
     den, num = numerators(bc)
-    bden, bnum = numerators(pair.coeff)
     checks: dict[str, bool] = {}
     details: list[str] = []
 
@@ -80,7 +80,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
     if not checks["level"]:
         details.append(f"level {level} is not in {{{','.join(map(str, LEVELS))}}}")
 
-    bad = sorted(v for v, n in num.items() if n * bden < bnum[v] * den)
+    bad = sorted(v for v, n in num.items() if n * pair.den < pair.num[v] * den)
     checks["dominates"] = not bad
     if bad:
         details.append("complement drops below the boundary at " + ", ".join(bad))
@@ -96,15 +96,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
         details.append("(K + Bc) pairs nonzero against " + ", ".join(bad))
 
     try:
-        bc_pair = pair.with_coeff(bc)  # raises when Bc leaves [0, 1]
-        if not bad and graph.lattice(graph.exceptional_ids).definite:
-            # K + Bc pairs to zero with the exceptional curves, so the
-            # unique crepant pullback is Bc itself: label Bc against itself.
-            exc = graph.exceptional_ids
-            b_exc = {j: num[j] for j in exc}
-            cls = label(graph, den, num, den, b_exc, {j: bc[j] for j in exc})
-        else:
-            cls = classify(bc_pair)
+        cls = classify(pair.with_coeff(bc))  # with_coeff raises when Bc leaves [0, 1]
         checks["lc_not_klt"] = cls.is_lc and not cls.is_klt
         if not checks["lc_not_klt"]:
             details.append(f"pair with Bc classifies {cls.label}, need lc but not klt")
@@ -113,7 +105,7 @@ def verify_complement(pair: LogPair, bc, level: int) -> ComplementReport:
         checks["lc_not_klt"] = False
         details.append(f"classification failed: {exc}")
 
-    bad = sorted(v for v, n in num.items() if level * n < (level + 1) * bnum[v] // bden * den)
+    bad = sorted(v for v, n in num.items() if level * n < (level + 1) * pair.num[v] // pair.den * den)
     checks["floor_bound"] = not bad
     if bad:
         details.append(
@@ -132,8 +124,7 @@ def _require_hypotheses(pair: LogPair) -> None:
     except GraphError as exc:
         failures.append(str(exc))
         raise ComplementHypothesisError(failures)
-    dots = dot_against_exceptionals(pair.graph, *numerators(pair.coeff))
-    bad = sorted(j for j, v in dots.items() if v > 0)
+    bad = _positive_dots(pair)
     if bad:
         failures.append("-(K+B) is not nef over the base (positive at " + ", ".join(bad) + ")")
     nonstd = sorted(v for v, c in pair.coeff.items() if not is_standard(c))
@@ -144,6 +135,14 @@ def _require_hypotheses(pair: LogPair) -> None:
         )
     if failures:
         raise ComplementHypothesisError(failures)
+
+
+def _positive_dots(pair: LogPair) -> list[str]:
+    """The exceptional curves that K + B pairs positively with, sorted:
+    -(K+B) is nef over the base iff there are none.  An integer test that
+    factors no lattice."""
+    dots = dot_against_exceptionals(pair.graph, pair.den, pair.num)
+    return sorted(j for j, v in dots.items() if v > 0)
 
 
 def _grid(level: int, b) -> range:
@@ -182,11 +181,10 @@ def _search(pair: LogPair, level: int) -> ComplementCertificate | None:
             solved.append(m)
         else:
             b_exc = dict(zip(exc, solved))
-            b = {j: Fraction(m, level) for j, m in b_exc.items()}
-            cls = label(graph, level, {**dict(zip(nonexc, combo)), **b_exc}, level, b_exc, b)
+            cls = label(graph, level, {**dict(zip(nonexc, combo)), **b_exc}, level, b_exc)
             if cls.is_lc and not cls.is_klt:
                 bc = {v: Fraction(m, level) for v, m in zip(nonexc, combo)}
-                return ComplementCertificate(level=level, coeffs={**bc, **b}, plt_case=cls.is_plt)
+                return ComplementCertificate(level=level, coeffs={**bc, **cls.b}, plt_case=cls.is_plt)
     return None
 
 

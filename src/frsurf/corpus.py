@@ -21,8 +21,9 @@ center is a non-exceptional curve germ, and non-plt chains at levels 1 and
 The randomized generator produces small negative-definite germs with
 standard coefficients that satisfy the search hypotheses (klt, -(K+B) nef
 over the base); complements may or may not exist on them.  It rejects a
-candidate that fails the nef test, an integer pairing that needs no
-lattice, before `_require_hypotheses` classifies it.  For the length of one
+candidate that fails the nef test of `_require_hypotheses`
+(`complements._positive_dots`, an integer pairing that needs no lattice)
+before `_require_hypotheses` classifies it.  For the length of one
 call it keeps one `DualGraph` per drawn shape (self-intersections and edge
 list) whose candidate passed the nef test, and one per distinct family
 graph, so each shape's exceptional lattice is factored once.  Returned
@@ -36,9 +37,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from .complements import ComplementHypothesisError, _require_hypotheses
+from .complements import ComplementHypothesisError, _positive_dots, _require_hypotheses
 from .dgf import parse_germ
-from .graphs import DualGraph, LogPair, Vertex, dot_against_exceptionals, numerators
+from .graphs import DualGraph, LogPair, Vertex
 
 F = Fraction
 
@@ -109,14 +110,6 @@ def _random_candidate(
     return key, LogPair(graph if graph is not None else DualGraph(vs, es), coeff)
 
 
-def _nef_over_base(pair: LogPair) -> bool:
-    """-(K+B) is nef over the base: K+B pairs nonpositively with every
-    exceptional curve.  `_require_hypotheses` requires the same; this test
-    is in integers and factors no lattice."""
-    dots = dot_against_exceptionals(pair.graph, *numerators(pair.coeff))
-    return all(v <= 0 for v in dots.values())
-
-
 def _admissible(pair: LogPair) -> bool:
     try:
         _require_hypotheses(pair)
@@ -143,7 +136,7 @@ def random_corpus(seed: int, count: int) -> list[LogPair]:
         if guard > 100000:
             raise RuntimeError("corpus generator stalled")
         key, cand = _random_candidate(rng, families, graphs)
-        if not _nef_over_base(cand):
+        if _positive_dots(cand):
             continue
         if key is not None:
             graphs[key] = cand.graph

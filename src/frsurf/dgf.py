@@ -9,6 +9,8 @@ Grammar (one declaration per line, '#' starts a comment):
 
 Coefficients are exact fractions ("1/2", "1", never "0.5") in [0, 1].
 Curve ids contain no '=' (a boundary entry splits at the first one).
+Curve ids and boundary names are nonempty strings, without whitespace or
+'#'; `render_germ` refuses any other, so all it writes parses back.
 Only genus-0 curves are supported; a genus attribute other than 0 is
 rejected.  Named boundary sections give alternative coefficient vectors
 (missing vertices default to 0).
@@ -173,6 +175,8 @@ def render_germ(germ: GermFile) -> str:
     """Canonical text: curves, meets, boundaries, primes, each sorted."""
     lines = []
     for vid in germ.graph.ids:
+        if type(vid) is not str or vid.split() != [vid] or "#" in vid or "=" in vid:
+            raise ValueError(f"curve id {vid!r} cannot be written to a germ file")
         v = germ.graph.vertex(vid)
         exc = "yes" if v.exceptional else "no"
         lines.append(
@@ -182,6 +186,8 @@ def render_germ(germ: GermFile) -> str:
     for u, w, mult in germ.graph.edges():
         lines.append(f"meet {u} {w} {mult}")
     for name in sorted(germ.boundaries):
+        if type(name) is not str or name.split() != [name] or "#" in name:
+            raise ValueError(f"boundary name {name!r} cannot be written to a germ file")
         vec = germ.boundaries[name]
         entries = [f"{vid}={format_rational(vec[vid])}" for vid in sorted(vec) if vec[vid] != 0]
         lines.append(" ".join(["boundary", name, *entries]))

@@ -10,17 +10,19 @@ solves are exact.  The pairing matrix on a set of curves is factored once
 per graph by one symmetric elimination M = L D L^T (leaves first, so trees
 cause no fill-in): its pivots decide negative definiteness, and every
 trivial-pairing solve on that set is then an affine map in the fixed
-coefficients (`PairingLattice`).  `label` reads
-terminal / canonical / klt / plt / lc off the boundary and the
-crepant-pullback coefficients; `classify` solves for those and labels.
+coefficients (`PairingLattice`).  `label` reads terminal / canonical /
+klt / plt / lc off the boundary and the crepant-pullback coefficients;
+`classify` solves for those and labels, and only the complement search,
+which solves on its own grid, calls `label` itself.
 
 `Fraction`s are the interface of log pairs, `classify` (its `b`) and
 `PairingLattice.solve`: coefficient maps come in and results go out as
 exact `Fraction`s.  The graph kernels speak integers: the pairing with the
 exceptional curves (`dot_against_exceptionals`), the crepant pullback
 (`pullback_coefficients`) and the labels (`label`) take and return
-numerators over a denominator, which `numerators` gives for a `Fraction`
-map.
+numerators over a denominator.  A `LogPair` computes those of its
+boundary once, as `den` and `num`; `numerators` gives them for any other
+`Fraction` map.
 """
 
 from __future__ import annotations
@@ -149,24 +151,30 @@ class LogPair:
 
     graph: DualGraph
     coeff: Mapping[str, Fraction]
+    # The boundary in integers, as `numerators` gives it, set once below.
+    den: int = field(init=False, compare=False, repr=False)
+    num: dict[str, int] = field(init=False, compare=False, repr=False)
     # The prime-free half of the certificate pipeline (`bstar.surgery`), set
     # once on first use, as `DualGraph.lattice` keeps its factorizations.
     _surgery: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        full = {}
+        full, den = {}, 1
         for vid in self.graph.ids:
             c = self.coeff.get(vid, 0)
             if type(c) is not Fraction:
                 c = Fraction(c)
-            num, den = c.as_integer_ratio()
-            if not 0 <= num <= den:
+            n, d = c.as_integer_ratio()
+            if not 0 <= n <= d:
                 raise GraphError(f"coefficient of {vid!r} outside [0, 1]: {c}")
             full[vid] = c
+            den = lcm(den, d)
         for vid in self.coeff:
             if vid not in self.graph:
                 raise GraphError(f"coefficient for unknown vertex {vid!r}")
         object.__setattr__(self, "coeff", full)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", {v: c.numerator * (den // c.denominator) for v, c in full.items()})
 
     def with_coeff(self, coeff: Mapping[str, Fraction]) -> "LogPair":
         return LogPair(self.graph, coeff)
@@ -303,22 +311,18 @@ class PairingLattice:
             w: tuple(x.numerator * (den // x.denominator) for x in c) for w, c in cols.items()
         }
 
-    def numerators(self, coeff: Mapping[str, Fraction]) -> tuple[int, list[int]]:
-        """The solve in integers: a denominator and, for each unknown in
+    def numerators(self, den: int, num: Mapping[str, int]) -> tuple[int, list[int]]:
+        """The solve in integers, for the fixed coefficients given as
+        numerators `num` over `den`: a denominator and, for each unknown in
         order, its value times that denominator (not reduced)."""
         if self.x0 is None:
             raise GraphError("singular linear system")
-        terms = []
+        x = [den * a for a in self.x0]
         for vid, col in self.columns.items():
-            n, d = coeff.get(vid, 0).as_integer_ratio()
-            if n:
-                terms.append((n, d, col))
-        scale = lcm(*(d for _n, d, _col in terms))
-        x = [scale * a for a in self.x0]
-        for n, d, col in terms:
-            k = n * (scale // d)
-            x = [a + k * c for a, c in zip(x, col)]
-        return scale * self.den, x
+            k = num.get(vid, 0)
+            if k:
+                x = [a + k * c for a, c in zip(x, col)]
+        return den * self.den, x
 
     def solve(self, coeff: Mapping[str, Fraction]) -> dict[str, Fraction]:
         """Coefficients on the curves `unknowns` that make
@@ -331,7 +335,7 @@ class PairingLattice:
         principal minor; a negative-definite matrix, or a principal
         submatrix of one, never has one.
         """
-        den, x = self.numerators(coeff)
+        den, x = self.numerators(*numerators(coeff))
         return {u: Fraction(a, den) for u, a in zip(self.unknowns, x)}
 
 
@@ -347,15 +351,13 @@ def pullback_coefficients(pair: LogPair) -> tuple[int, dict[str, int]]:
         raise NotNegativeDefiniteError(
             "exceptional intersection lattice is not negative definite"
         )
-    den, x = lattice.numerators(pair.coeff)
+    den, x = lattice.numerators(pair.den, pair.num)
     return den, dict(zip(lattice.unknowns, x))
 
 
 def classify(pair: LogPair) -> Classification:
     """Singularity class of the germ modeled by the pair."""
-    bden, bn = pullback_coefficients(pair)
-    b = {u: Fraction(n, bden) for u, n in bn.items()}
-    return label(pair.graph, *numerators(pair.coeff), bden, bn, b)
+    return label(pair.graph, pair.den, pair.num, *pullback_coefficients(pair))
 
 
 def numerators(coeff: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
@@ -365,11 +367,11 @@ def numerators(coeff: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
     return den, dict(zip(coeff, [n * (den // d) for n, d in ratios]))
 
 
-def label(graph: DualGraph, cden: int, c: dict, bden: int, bn: dict, b: dict) -> Classification:
+def label(graph: DualGraph, cden: int, c: dict, bden: int, bn: dict) -> Classification:
     """Singularity class from the boundary on every vertex, numerators `c`
     over `cden`, and the crepant-pullback coefficients on the exceptional
-    curves, numerators `bn` over `bden` and `b` as `Fraction`s (which the
-    classification keeps).
+    curves, numerators `bn` over `bden`.  The classification keeps the
+    latter as `Fraction`s (its `b`), built here once.
 
     A vertex that carries coefficient 1 in the boundary is a marked log
     canonical center; a solved b = 1 there does not spoil plt-ness (the
@@ -388,7 +390,7 @@ def label(graph: DualGraph, cden: int, c: dict, bden: int, bn: dict, b: dict) ->
             # Blowing up a crossing of two non-exceptional curves gives
             # discrepancy 1 - c_u - c_w; a crossing on an exceptional curve
             # with b <= 0 gives at least 1 - c >= 0.
-            if total > cden and u not in b and w not in b:
+            if total > cden and u not in bn and w not in bn:
                 crossings_ok = False
     # The largest b (largest id among equals) decides the four bounds on b.
     max_v = max(bn, key=lambda j: (bn[j], j)) if bn else None
@@ -419,6 +421,7 @@ def label(graph: DualGraph, cden: int, c: dict, bden: int, bn: dict, b: dict) ->
     centers = sorted(ones)
     if top >= bden:
         centers += sorted(j for j, n in bn.items() if n == bden and j not in ones)
+    b = {j: Fraction(n, bden) for j, n in bn.items()}
     return Classification(
         label=name,
         b=b,

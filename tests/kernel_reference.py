@@ -264,8 +264,8 @@ def is_standard(c):
 
 
 def verify_complement(pair, bc, level):
-    """`complements.verify_complement`, which always classified by the full
-    solve, with the dominance, integrality and floor-bound checks above."""
+    """`complements.verify_complement` in `Fraction`s, with the dominance,
+    integrality and floor-bound checks above."""
     graph = pair.graph
     if set(bc) != set(graph.ids):
         raise GraphError("complement vector must cover exactly the graph's vertices")

@@ -212,8 +212,8 @@ def test_search_labels_agree_with_verify_complement(monkeypatch):
     labelled = []
     real_label = complements.label
 
-    def recording(graph, cden, c, bden, bn, b):
-        cls = real_label(graph, cden, c, bden, bn, b)
+    def recording(graph, cden, c, bden, bn):
+        cls = real_label(graph, cden, c, bden, bn)
         labelled.append(({v: F(n, cden) for v, n in c.items()}, cls))
         return cls
 
@@ -231,7 +231,6 @@ def test_search_labels_agree_with_verify_complement(monkeypatch):
         for level in LEVELS:
             labelled.clear()
             cert = search_complement(pair, level)
-            # verify_complement labels through the recorder too: copy first
             searched = list(labelled)
             for bc, cls in searched:
                 report = real_verify(pair, bc, level)
@@ -249,6 +248,8 @@ def test_search_labels_agree_with_verify_complement(monkeypatch):
                 assert (report.checks, report.details, report.classification) == (
                     want.checks, want.details, want.classification
                 ), (raised, level)
+            # verify_complement classifies; it never calls `label` itself
+            assert labelled == searched
             if cert is not None:
                 assert searched[-1][0] == cert.coeffs
                 assert cert.plt_case == searched[-1][1].is_plt

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from frsurf import corpus, graphs
+from frsurf import complements, corpus, graphs
 from frsurf.dgf import GermFile, render_germ
 
 # SHA-256 over the concatenated `render_germ` texts of random_corpus(seed, 601);
@@ -30,7 +30,7 @@ def test_nef_pretest_rejects_only_inadmissible_candidates():
     rejected = admitted = 0
     for _ in range(2400):
         _key, cand = corpus._random_candidate(rng, families, {})
-        if corpus._nef_over_base(cand):
+        if not complements._positive_dots(cand):
             admitted += corpus._admissible(cand)
         else:
             rejected += 1

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -6,7 +7,7 @@ from frsurf import corpus
 from frsurf.cli import main
 from frsurf.corpus import random_corpus
 from frsurf.dgf import GermFile, ParseError, parse_germ, render_germ
-from frsurf.graphs import is_negative_definite
+from frsurf.graphs import DualGraph, Vertex, is_negative_definite
 from kernel_reference import ade_graph, affine_ade_graph, blowup_chain, intersection_matrix
 
 A1_TAIL = """\
@@ -52,6 +53,27 @@ def test_render_parse_round_trip_over_corpus():
         assert [back.graph.vertex(v) for v in back.graph.ids] == [graph.vertex(v) for v in graph.ids]
         assert back.graph.edges() == graph.edges()
         assert back.pair().coeff == pair.coeff
+
+
+@pytest.mark.parametrize("vid", ["a#b", "a b", "", "a=b"])
+def test_render_refuses_curve_ids_the_grammar_cannot_carry(vid):
+    graph = DualGraph([Vertex(vid, -2, True), Vertex("L", 0, False)], [(vid, "L", 1)])
+    with pytest.raises(ValueError, match=f"curve id {vid!r} cannot be written"):
+        render_germ(GermFile(graph=graph, coeff={}))
+
+
+def test_render_refuses_curve_ids_that_are_not_strings():
+    # "curve 1 ..." would parse back with the id "1", not 1
+    with pytest.raises(ValueError, match="curve id 1 cannot be written"):
+        render_germ(GermFile(graph=DualGraph([Vertex(1, -2, True)]), coeff={}))
+
+
+@pytest.mark.parametrize("name", ["a#b", "a b", ""])
+def test_render_refuses_boundary_names_the_grammar_cannot_carry(name):
+    germ = parse_germ(A1_TAIL)
+    germ.boundaries[name] = {"E": F(1, 2)}
+    with pytest.raises(ValueError, match=f"boundary name {name!r} cannot be written"):
+        render_germ(germ)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -260,6 +282,9 @@ def test_cli_input_errors(tmp_path, capsys):
         ["hara", "--p", ","],
         ["hara", "--p", ""],
         ["bstar", str(corpus.GERMS / "a1_tail.dgf"), "--p", ""],  # the file names primes
+        # levels that are never searched
+        ["complement", str(corpus.GERMS / "a1_tail.dgf"), "--n", "5"],
+        ["complement", str(corpus.GERMS / "a1_tail.dgf"), "--n", "0"],
         ["classify", str(tmp_path / "missing.dgf")],
         ["classify", str(tmp_path)],
     ):

@@ -7,6 +7,7 @@ result here, errors included, must be equal.
 """
 
 from fractions import Fraction as F
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,7 +90,7 @@ def test_solve_and_dot_match_reference(drawn, data):
 def test_label_and_classify_match_reference(drawn, data):
     graph, coeff = drawn
     b = {j: data.draw(any_values()) for j in graph.exceptional_ids}
-    assert label(graph, *numerators(coeff), *numerators(b), b) == ref.label(graph, coeff, b)
+    assert label(graph, *numerators(coeff), *numerators(b)) == ref.label(graph, coeff, b)
     pair = LogPair(graph, coeff)
     got = outcome(classify, pair)
     assert got == outcome(ref.classify, pair)
@@ -103,6 +104,45 @@ def test_grid_and_standard_match_reference(c, level):
     assert outcome(is_standard, c) == outcome(ref.is_standard, c)
     if 0 <= c <= 1:
         assert _grid(level, c) == ref.grid(level, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_map(unit_values()))
+def test_log_pair_holds_its_boundary_in_integers(drawn):
+    graph, coeff = drawn
+    pair = LogPair(graph, coeff)
+    assert pair.den == lcm(*(c.denominator for c in pair.coeff.values()))
+    assert all(F(pair.num[v], pair.den) == pair.coeff[v] for v in graph.ids)
+    # den and num are derived state: equality and repr ignore them
+    twin = LogPair(graph, dict(coeff))
+    assert twin == pair == pair.with_coeff(coeff)
+    assert repr(twin) == repr(pair)
+    assert "den=" not in repr(pair) and "num=" not in repr(pair)
+
+
+def test_pair_kernels_read_the_pair_numerators(monkeypatch):
+    # classify, the crepant pullback and the hypothesis check take B in
+    # integers from the pair; none converts the Fraction map again.
+    from frsurf import bstar, complements, graphs
+
+    pairs = random_corpus(seed=5, count=80)
+    calls = []
+    real = graphs.numerators
+
+    def counting(coeff):
+        calls.append(coeff)
+        return real(coeff)
+
+    for module in (graphs, complements, bstar):
+        monkeypatch.setattr(module, "numerators", counting)
+    for pair in pairs:
+        classify(pair)
+        graphs.pullback_coefficients(pair)
+        complements._require_hypotheses(pair)
+    assert calls == []
+    # the counter sees the conversions that remain (of Bc, here)
+    verify_complement(pairs[0], dict(pairs[0].coeff), 1)
+    assert len(calls) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,7 +168,7 @@ def test_verify_complement_matches_reference(drawn, data, level):
     pair = LogPair(graph, b)
     # Bc on the 1/level grid where it can be, and anywhere in [-2, 2] elsewhere;
     # solving its exceptional values makes K + Bc pair trivially, so that the
-    # label of Bc against itself is compared with the full solve.
+    # case where the solve returns Bc itself is compared too.
     on_grid = st.integers(0, level).map(lambda m: F(m, level))
     bc = {v: data.draw(st.one_of(on_grid, any_values())) for v in graph.ids}
     lattice = graph.lattice(graph.exceptional_ids)

@@ -1,7 +1,10 @@
-"""Every cache that outlives a call is declared.  A cache across calls can
-show a benchmark gain between ops that a user running each input once would
-not see, so the perfbench README ("Repeated inputs") asks each one to be
-named; the README's memo paragraph names them."""
+"""Every cache that outlives a call is declared, and so is every piece of
+state kept on a value.  A cache across calls can show a benchmark gain
+between ops that a user running each input once would not see, so the
+perfbench README ("Repeated inputs") asks each one to be named; state set on
+a value outside its constructor arguments (a dataclass field declared
+`init=False`) is derived from those arguments, and is named beside the
+memos.  The README's memo paragraph names them all."""
 
 import ast
 from pathlib import Path
@@ -12,26 +15,63 @@ PACKAGE = Path(frsurf.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
 
 
+def _name(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
 def _memoized(tree):
     """Names of the functions decorated with functools.lru_cache or cache."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-                if name in ("lru_cache", "cache"):
-                    yield node.name
+            if any(_name(dec) in ("lru_cache", "cache") for dec in node.decorator_list):
+                yield node.name
+
+
+def _kept_fields(tree):
+    """Class-qualified names of the dataclass fields declared with
+    field(init=False)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                value = getattr(stmt, "value", None)
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(value, ast.Call)
+                    and _name(value) == "field"
+                    and any(
+                        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                        for kw in value.keywords
+                    )
+                ):
+                    yield f"{node.name}.{stmt.target.id}"
+
+
+def _memo_paragraph():
+    return next(
+        p for p in README.read_text(encoding="utf-8").split("\n\n") if "pure functions" in p and "memo" in p
+    )
+
+
+def _declared(collect):
+    return {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in collect(ast.parse(path.read_text(encoding="utf-8")))
+    }
 
 
 def test_declared_memos():
-    found = {
-        f"{path.stem}.{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in _memoized(ast.parse(path.read_text(encoding="utf-8")))
-    }
+    found = _declared(_memoized)
     assert found == {"padic._power", "padic._chunk_tables"}
-    paragraph = next(
-        p for p in README.read_text(encoding="utf-8").split("\n\n") if "pure functions" in p and "memo" in p
-    )
+    paragraph = _memo_paragraph()
+    for name in found:
+        assert f"`{name}`" in paragraph, name
+
+
+def test_declared_state_on_values():
+    found = {name.split(".", 1)[1] for name in _declared(_kept_fields)}
+    assert found == {"LogPair._surgery", "LogPair.den", "LogPair.num"}
+    paragraph = _memo_paragraph()
     for name in found:
         assert f"`{name}`" in paragraph, name
