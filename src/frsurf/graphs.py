@@ -7,10 +7,13 @@ over the base).  On a resolution every self-intersection and every
 multiplicity is an integer, and `DualGraph` rejects any other weight.  A
 log pair attaches a boundary coefficient in [0, 1] to every vertex.  All
 solves are exact.  The pairing matrix on a set of curves is factored once
-per graph by one symmetric elimination M = L D L^T (leaves first, so trees
-cause no fill-in): its pivots decide negative definiteness, and every
+per graph shape (the ids with their self-intersections, and the edges) by
+one symmetric elimination M = L D L^T (leaves first, so trees cause no
+fill-in): its pivots decide negative definiteness, and every
 trivial-pairing solve on that set is then an affine map in the fixed
-coefficients (`PairingLattice`).  `label` reads terminal / canonical /
+coefficients (`PairingLattice`).  The process-wide memo `_factored` keeps
+the last `_LATTICE_BOUND` of them, so graphs parsed apart share one
+factorization when their shapes agree.  `label` reads terminal / canonical /
 klt / plt / lc off the boundary and the crepant-pullback coefficients;
 `classify` solves for those and labels, and only the complement search,
 which solves on its own grid, calls `label` itself.
@@ -27,12 +30,16 @@ boundary once, as `den` and `num`; `numerators` gives them for any other
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .rationals import format_rational
+
+
+_LATTICE_BOUND = 512
 
 
 class GraphError(ValueError):
@@ -92,7 +99,8 @@ class DualGraph:
         self._ids = tuple(sorted(vs))
         self._exceptional_ids = tuple(v for v in self._ids if vs[v].exceptional)
         self._neighbors = {vid: tuple(sorted(adj[vid].items())) for vid in self._ids}
-        self._lattices: dict[tuple[str, ...], PairingLattice] = {}
+        # All that a factored lattice reads: the memo key of `lattice`.
+        self._shape = (tuple((vid, vs[vid].self_int) for vid in self._ids), self._edge_list)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -134,15 +142,9 @@ class DualGraph:
         return self._edges.get((u, w) if u <= w else (w, u), 0)
 
     def lattice(self, unknowns: Iterable[str]) -> "PairingLattice":
-        """The factored pairing matrix on `unknowns`, built once per set."""
-        # Keys are sorted tuples without repeats, so a tuple equal to one is one.
-        lat = self._lattices.get(unknowns) if type(unknowns) is tuple else None
-        if lat is None:
-            key = tuple(sorted(set(unknowns)))
-            lat = self._lattices.get(key)
-            if lat is None:
-                lat = self._lattices[key] = PairingLattice(self, key)
-        return lat
+        """The factored pairing matrix on `unknowns`, built once per graph
+        shape and set of curves (`_factored`)."""
+        return _factored(self._shape, tuple(sorted(set(unknowns))))
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,12 @@ class LogPair:
     den: int = field(init=False, compare=False, repr=False)
     num: dict[str, int] = field(init=False, compare=False, repr=False)
     # The prime-free half of the certificate pipeline (`bstar.surgery`), set
-    # once on first use, as `DualGraph.lattice` keeps its factorizations.
+    # once on first use and read by the construction only.
     _surgery: object = field(default=None, init=False, compare=False, repr=False)
+    # The prime-free verdict of the last certificate content that
+    # `bstar.reverify_certificate` checked on this pair, keyed by that
+    # content; read and written by `reverify_certificate` only.
+    _verdict: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         full, den = {}, 1
@@ -263,24 +269,30 @@ class PairingLattice:
     curves.  That is the affine map x = (x0 + sum_v coeff(v) col_v) / den,
     with x0 = den M^-1 r0 and each col_v = -den M^-1 n_v integral
     (`columns` maps v to col_v); the factor solves for them once and is
-    then dropped.  Built by `DualGraph.lattice`, which keeps one per set
-    of curves.
+    then dropped.  Built from a graph's shape (its ids with their
+    self-intersections, and its edges) by `_factored`, the memo behind
+    `DualGraph.lattice`.
     """
 
     __slots__ = ("unknowns", "definite", "den", "x0", "columns")
 
-    def __init__(self, graph: DualGraph, unknowns: tuple[str, ...]):
+    def __init__(self, shape: tuple, unknowns: tuple[str, ...]):
+        selfs, edges = shape
+        self_int = dict(selfs)
         n = len(unknowns)
         index = {v: i for i, v in enumerate(unknowns)}
-        diag = [graph.vertex(v).self_int for v in unknowns]
+        for v in unknowns:
+            if v not in self_int:
+                raise GraphError(f"unknown vertex {v!r}")
+        diag = [self_int[v] for v in unknowns]
         off: dict[int, dict[int, int]] = {i: {} for i in range(n)}
         outside: dict[str, list] = {}
-        for i, v in enumerate(unknowns):
-            for w, mult in graph.neighbors(v):
+        for u, w, mult in edges + tuple((w, u, m) for u, w, m in edges):
+            if u in index:
                 if w in index:
-                    off[i][index[w]] = mult
+                    off[index[u]][index[w]] = mult
                 else:
-                    outside.setdefault(w, [0] * n)[i] = -mult
+                    outside.setdefault(w, [0] * n)[index[u]] = -mult
         order, pivots, below = _ldl(diag, off)
         self.unknowns = unknowns
         self.definite = len(pivots) == n and all(d < 0 for d in pivots)
@@ -337,6 +349,13 @@ class PairingLattice:
         """
         den, x = self.numerators(*numerators(coeff))
         return {u: Fraction(a, den) for u, a in zip(self.unknowns, x)}
+
+
+@functools.lru_cache(maxsize=_LATTICE_BOUND)
+def _factored(shape: tuple, unknowns: tuple[str, ...]) -> PairingLattice:
+    """The lattice of `PairingLattice(shape, unknowns)`, a pure function of
+    its arguments, so graphs of one shape share it."""
+    return PairingLattice(shape, unknowns)
 
 
 def pullback_coefficients(pair: LogPair) -> tuple[int, dict[str, int]]:

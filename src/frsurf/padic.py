@@ -215,6 +215,13 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
     tables = _chunk_tables(p) if p <= _TABLE_BOUND else None
     base = len(tables[1]) if tables else p
     if n < base:
+        if tables:
+            # one chunk: the same test on the three table entries themselves
+            root, digit_sum, log_sum = tables
+            d = n - k
+            if digit_sum[n] != digit_sum[k] + digit_sum[d]:
+                return 0
+            return pow(root, (log_sum[n] - log_sum[k] - log_sum[d]) % (p - 1), p)
         nc, kc = [n], [k]
     else:
         e = int(n.bit_length() / math.log2(base)) + 2

@@ -8,14 +8,19 @@ together with 1 as the limiting case.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
 _FRACTION_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
+@functools.lru_cache(maxsize=256)
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' exactly; decimal notation is rejected."""
+    """Parse 'a' or 'a/b' exactly; decimal notation is rejected.
+
+    A memo keeps the last 256 literals: Fractions are immutable, so callers
+    may share the objects it returns."""
     m = _FRACTION_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"not an exact fraction: {text!r}")

@@ -350,30 +350,10 @@ def test_gfr_reports_absent_complement():
     assert err.value.kind == "search"
 
 
-def test_reverify_detects_tampering():
-    pair = family("plt_fork_level6")
-    cert = gfr_certificate(pair, 7, e_max=6)
-    assert reverify_certificate(pair, cert) == []
-    tampered = GfrCertificate(
-        case=cert.case,
-        level=cert.level,
-        center=cert.center,
-        gamma0=cert.gamma0,
-        gamma_prime=cert.gamma_prime,
-        bc=cert.bc,
-        bstar={**cert.bstar, "A": F(5, 6)},
-        epsilon=cert.epsilon,
-        diff=cert.diff,
-        diff_anchors=cert.diff_anchors,
-        fedder=cert.fedder,
-        prime=cert.prime,
-        e_max=cert.e_max,
-    )
-    assert reverify_certificate(pair, tampered) != []
-    # a witness must be for the certificate's own prime and within e_max
-    other = gfr_certificate(pair, 11, e_max=6)
-    assert other.fedder.certificate.p == 11
-    for field, value in (
+def _tamperings(cert, other):
+    """(field, value) edits of the plt_fork_level6 certificate `cert` at p = 7
+    that `reverify_certificate` must report; `other` is its certificate at 11."""
+    return (
         ("fedder", other.fedder),
         ("prime", 13),
         ("prime", 9),
@@ -401,7 +381,33 @@ def test_reverify_detects_tampering():
         ("bc", {**cert.bc, "C": True}),
         ("bc", None),
         ("fedder", None),
-    ):
+    )
+
+
+def test_reverify_detects_tampering():
+    pair = family("plt_fork_level6")
+    cert = gfr_certificate(pair, 7, e_max=6)
+    assert reverify_certificate(pair, cert) == []
+    tampered = GfrCertificate(
+        case=cert.case,
+        level=cert.level,
+        center=cert.center,
+        gamma0=cert.gamma0,
+        gamma_prime=cert.gamma_prime,
+        bc=cert.bc,
+        bstar={**cert.bstar, "A": F(5, 6)},
+        epsilon=cert.epsilon,
+        diff=cert.diff,
+        diff_anchors=cert.diff_anchors,
+        fedder=cert.fedder,
+        prime=cert.prime,
+        e_max=cert.e_max,
+    )
+    assert reverify_certificate(pair, tampered) != []
+    # a witness must be for the certificate's own prime and within e_max
+    other = gfr_certificate(pair, 11, e_max=6)
+    assert other.fedder.certificate.p == 11
+    for field, value in _tamperings(cert, other):
         mutated = dataclasses.replace(cert, **{field: value})
         assert reverify_certificate(pair, mutated) != [], (field, value)
     payload = {**certificate_to_payload(cert), "gamma0": [["A"]]}
@@ -573,6 +579,8 @@ def test_reverify_reads_nothing_the_pair_keeps(monkeypatch):
     for pair in (family("plt_fork_level6"), family("nonplt_fork")):
         cert = gfr_certificate(pair, 7, e_max=6)
         assert pair._surgery is not None
+        # the construction neither reads nor fills reverify's own memo
+        assert pair._verdict is None
         payload = certificate_to_payload(cert)
         off_center = min(v for v in cert.bc if v != cert.center)
         for field in ("bc", "bstar"):
@@ -590,3 +598,68 @@ def test_reverify_reads_nothing_the_pair_keeps(monkeypatch):
     monkeypatch.setattr("frsurf.bstar.minimal_complement", unreachable)
     assert [reverify_certificate(pair, cert) for pair, cert in cases] == expected
     assert expected[2] == expected[5] == []
+
+
+def test_reverify_memo_still_reports_every_tampering():
+    # each edit follows an accepted check of the same content, so the memo
+    # holds an accepting verdict when the edited certificate arrives
+    pair = family("plt_fork_level6")
+    other = gfr_certificate(pair, 11, e_max=6)
+    cert = gfr_certificate(pair, 7, e_max=6)
+    for field, value in (("bstar", {**cert.bstar, "A": F(5, 6)}), *_tamperings(cert, other)):
+        fresh = gfr_certificate(pair, 7, e_max=6)
+        assert reverify_certificate(pair, fresh) == []
+        assert pair._verdict is not None
+        if field in ("bc", "bstar") and isinstance(value, dict):
+            # the same certificate object, its map edited in place
+            getattr(fresh, field).clear()
+            getattr(fresh, field).update(value)
+            mutated = fresh
+        else:
+            mutated = dataclasses.replace(fresh, **{field: value})
+        assert reverify_certificate(pair, mutated) != [], (field, value)
+
+
+def test_reverify_memo_skips_unhashable_content_and_returns_fresh_lists():
+    pair = family("nonplt_fork")
+    cert = gfr_certificate(pair, 7, e_max=6)
+    assert reverify_certificate(pair, cert) == []
+    kept = pair._verdict
+    # a list is no hashable key: the full check runs, reports, and stores nothing
+    as_list = dataclasses.replace(cert, diff=list(cert.diff))
+    assert reverify_certificate(pair, as_list) == [
+        "recorded different disagrees with the recomputation"
+    ]
+    assert pair._verdict is kept
+    # a hit returns a new list each time, so a caller's edit stays its own
+    tampered = dataclasses.replace(cert, bstar={**cert.bstar, cert.center: F(1, 2)})
+    first = reverify_certificate(pair, tampered)
+    second = reverify_certificate(pair, tampered)
+    assert first and first == second and first is not second
+    second.append("edited by the caller")
+    assert reverify_certificate(pair, tampered) == first
+
+
+def test_reverify_checks_prime_free_content_once_per_germ(monkeypatch):
+    import json
+
+    from frsurf import bstar
+
+    calls = []
+    real = bstar._prime_free_problems
+
+    def counting(pair, cert):
+        calls.append(cert.prime)
+        return real(pair, cert)
+
+    for name in ("plt_fork_level6", "nonplt_fork", "a1_tail"):
+        pair = family(name)
+        certs = [gfr_certificate(pair, p, e_max=6) for p in (7, 11, 13)]
+        monkeypatch.setattr(bstar, "_prime_free_problems", counting)
+        for cert in certs:
+            restored = certificate_from_payload(json.loads(json.dumps(certificate_to_payload(cert))))
+            assert reverify_certificate(pair, restored) == []
+        monkeypatch.setattr(bstar, "_prime_free_problems", real)
+        # the certificates differ in their prime and witness only
+        assert calls == [7], name
+        calls.clear()

@@ -45,10 +45,12 @@ def test_random_corpus_factors_each_shape_once(monkeypatch):
     class Counting(graphs.PairingLattice):
         __slots__ = ()
 
-        def __init__(self, graph, unknowns):
-            made.append((tuple(map(graph.vertex, graph.ids)), tuple(graph.edges())))
-            super().__init__(graph, unknowns)
+        def __init__(self, shape, unknowns):
+            made.append(shape)
+            super().__init__(shape, unknowns)
 
+    # the shape memo outlives calls: start it empty, whatever ran before
+    graphs._factored.cache_clear()
     monkeypatch.setattr(graphs, "PairingLattice", Counting)
     assert len(corpus.random_corpus(1, 601)) == 601
     # one factorization per nef-passing shape (117 here), not one per

@@ -1,5 +1,5 @@
 """The factored pairing lattice against an independent exact oracle (sympy),
-and the promise that each lattice is factored once per graph."""
+and the promise that each lattice is factored once per graph shape."""
 
 import random
 from fractions import Fraction as F
@@ -126,12 +126,24 @@ def test_each_lattice_is_factored_once(monkeypatch, name, factorizations):
         calls.append(len(diag))
         return real(diag, off)
 
+    # the shape memo outlives calls: start it empty, whatever ran before
+    graphs._factored.cache_clear()
     monkeypatch.setattr(graphs, "_ldl", counting)
     pair = family(name)
     assert minimal_complement(pair) is not None
     for p in (7, 11, 13):
         bstar.gfr_certificate(pair, p, 6)
-    assert len(calls) == len(pair.graph._lattices) == factorizations
-    # a fresh graph pays for its own factorization
-    minimal_complement(LogPair(family(name).graph, pair.coeff))
+    assert len(calls) == graphs._factored.cache_info().currsize == factorizations
+    # a freshly parsed graph of the same shape factors nothing
+    fresh = family(name).graph
+    assert fresh is not pair.graph
+    minimal_complement(LogPair(fresh, pair.coeff))
+    assert len(calls) == factorizations
+    # a graph that differs in one self-intersection factors its own lattice
+    lowered = fresh.exceptional_ids[0]
+    changed = DualGraph(
+        [Vertex(v, fresh.vertex(v).self_int - (v == lowered), fresh.vertex(v).exceptional) for v in fresh.ids],
+        fresh.edges(),
+    )
+    assert changed.lattice(changed.exceptional_ids).definite
     assert len(calls) == factorizations + 1

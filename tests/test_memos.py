@@ -63,7 +63,7 @@ def _declared(collect):
 
 def test_declared_memos():
     found = _declared(_memoized)
-    assert found == {"padic._power", "padic._chunk_tables"}
+    assert found == {"padic._power", "padic._chunk_tables", "graphs._factored", "rationals.parse_rational"}
     paragraph = _memo_paragraph()
     for name in found:
         assert f"`{name}`" in paragraph, name
@@ -71,7 +71,7 @@ def test_declared_memos():
 
 def test_declared_state_on_values():
     found = {name.split(".", 1)[1] for name in _declared(_kept_fields)}
-    assert found == {"LogPair._surgery", "LogPair.den", "LogPair.num"}
+    assert found == {"LogPair._surgery", "LogPair._verdict", "LogPair.den", "LogPair.num"}
     paragraph = _memo_paragraph()
     for name in found:
         assert f"`{name}`" in paragraph, name
