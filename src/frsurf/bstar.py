@@ -9,19 +9,17 @@ Supp(Bc - B) to a non-exceptional curve), the coefficient surgery
 m/N -> (m-1)/(N-1) along the rest of that walk (plt case; none when the
 rest is empty) or the convex mix toward the trivial-pairing solution off
 the center, bounded by dominance alone as the lattice is monotone (non-plt
-case), the different of B* along the center as a `P1Pair`, and the
-prime-free checks.  The per-prime half, `gfr_certificate(pair, p)`, runs
-only the monomial test on that different and the checks of its witness.
-`reverify_certificate` is the one definition of a valid certificate and
-reads only its own verdicts: it checks the complement, that B* is the
-recorded surgery of Bc, anti-nefness of K + B*, the sandwich Bc >= B* >= B,
-plt-ness of (graph, B*) and the different with its anchors, then the
-witness on the recomputed different; `gfr_certificate` returns only
-certificates that pass these checks.  The pair keeps the prime-free
-verdict of the last certificate content reverified on it
-(`LogPair._verdict`), so a germ's certificates at several primes, which
-differ only in the prime and the witness, share one prime-free check; the
-construction never reads or writes that verdict.
+case), and the different of B* along the center as a `P1Pair`.  The
+per-prime half, `gfr_certificate(pair, p)`, runs only the monomial test on
+that different and the checks of its witness.  `reverify_certificate` is
+the one definition of a valid certificate: it checks the complement, that
+B* is the recorded surgery of Bc, anti-nefness of K + B*, the sandwich
+Bc >= B* >= B, plt-ness of (graph, B*) and the different with its anchors,
+then the witness on the recomputed different; `gfr_certificate` returns
+only certificates that pass these checks.  Both read the prime-free
+verdict from `_prime_free_verdict`, which the pair keeps for the last
+content checked, so a germ's certificates at several primes, built or
+reverified, share one prime-free check.
 """
 from __future__ import annotations
 
@@ -30,6 +28,7 @@ from fractions import Fraction
 
 from .complements import LEVELS, ComplementHypothesisError, minimal_complement, verify_complement
 from .fedder import (
+    FRegCertificate,
     FRegVerdict,
     P1Pair,
     fedder_exponents,
@@ -38,7 +37,7 @@ from .fedder import (
     verdict_to_payload,
     verify_witness,
 )
-from .graphs import LogPair, classify, diff_on_component, dot_against_exceptionals, numerators
+from .graphs import GraphError, LogPair, classify, diff_on_component, dot_against_exceptionals, numerators
 from .padic import is_prime
 from .rationals import format_rational, parse_rational, std_replace
 
@@ -230,11 +229,11 @@ def verify_pfreg(
     return anchors, is_globally_F_regular(p1, p, e_max)
 
 
-def surgery(pair: LogPair) -> tuple[GfrCertificate, P1Pair, list[str], tuple | None]:
+def surgery(pair: LogPair) -> tuple[GfrCertificate, P1Pair]:
     """The prime-free half of the pipeline, run once per pair and kept on it:
-    the certificate without its prime (fedder, prime and e_max are None), its
-    different as a `P1Pair`, and what `_prime_free_problems` finds on it.  A
-    `PipelineError` on the way is kept and re-raised for every prime."""
+    the certificate without its prime (fedder, prime and e_max are None) and
+    its different as a `P1Pair`.  A `PipelineError` on the way is kept and
+    re-raised, with a fresh traceback, for every prime."""
     if pair._surgery is None:
         try:
             memo = _prime_free_half(pair)
@@ -242,7 +241,7 @@ def surgery(pair: LogPair) -> tuple[GfrCertificate, P1Pair, list[str], tuple | N
             memo = exc
         object.__setattr__(pair, "_surgery", memo)
     if isinstance(pair._surgery, PipelineError):
-        raise pair._surgery
+        raise pair._surgery.with_traceback(None)
     return pair._surgery
 
 
@@ -284,7 +283,7 @@ def _prime_free_half(pair: LogPair):
         prime=None,
         e_max=None,
     )
-    return (cert, p1, *_prime_free_problems(pair, cert))
+    return cert, p1
 
 
 def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
@@ -302,7 +301,8 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         raise PipelineError(
             "hypotheses", "hypothesis", f"e_max must be a positive integer, got {e_max}"
         )
-    cert, p1, problems, values = surgery(pair)
+    cert, p1 = surgery(pair)
+    problems, values = _prime_free_verdict(pair, cert)
     verdict = is_globally_F_regular(p1, p, e_max)
     if verdict.status == "inconclusive" and not problems:
         raise PipelineError(
@@ -313,7 +313,7 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
     cert = replace(
         cert, bc=dict(cert.bc), bstar=dict(cert.bstar), fedder=verdict, prime=p, e_max=e_max
     )
-    problems = problems + _witness_problems(cert, values)
+    problems = [*problems, *_witness_problems(cert, values)]
     if problems:
         raise PipelineError("pfreg", "structure", "; ".join(problems))
     return cert
@@ -378,38 +378,33 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     """Re-check a certificate from scratch with graph and monomial primitives only.
 
     Returns a new list of discrepancies (empty means the certificate
-    stands); a tampered field is reported, not raised.  No state from the
-    construction phase is reused: the prime-free half the pair keeps is not
-    read.  Only its own verdicts are: the pair keeps the prime-free verdict
-    of the last content checked here, keyed by every field that verdict
-    reads as they are at each call, and then only the witness is checked.
+    stands); a tampered field is reported, not raised.  The prime-free half
+    the pair keeps (`surgery`) is never read, only the verdict on equal
+    content (`_prime_free_verdict`); then the witness is checked.
     """
     mistyped = _type_problems(cert)
     if mistyped:
         return mistyped
-    key = _prime_free_key(cert)
-    kept = pair._verdict  # read once: another thread may replace it
-    if key is not None and kept is not None and kept[0] == key:
-        _key, problems, values = kept
-    else:
-        problems, values = _prime_free_problems(pair, cert)
-        problems = tuple(problems)
-        if key is not None:
-            object.__setattr__(pair, "_verdict", (key, problems, values))
+    problems, values = _prime_free_verdict(pair, cert)
     return [*problems, *_witness_problems(cert, values)]
 
 
-def _prime_free_key(cert: GfrCertificate) -> tuple | None:
-    """Every field `_prime_free_problems` reads, copied into one tuple, or
-    None when some of it cannot be hashed (and so might change in place)."""
+def _prime_free_verdict(pair: LogPair, cert: GfrCertificate) -> tuple[tuple[str, ...], tuple | None]:
+    """`_prime_free_problems` of well-typed content, kept on the pair for the
+    last content checked (`LogPair._verdict`), keyed by every field it reads.
+    `_type_problems` fixes the type of each of them but case, diff and
+    diff_anchors, which are only compared, with ==, to strings and tuples the
+    check builds: a list anywhere in them always gives a rejection, so an edit
+    in place can never turn that into an accepting hit."""
     key = (cert.case, cert.level, cert.center, cert.gamma0, cert.gamma_prime,
            tuple(cert.bc.items()), tuple(cert.bstar.items()), cert.epsilon, cert.diff,
            cert.diff_anchors)
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    kept = pair._verdict  # read once: another thread may replace it
+    if kept is None or kept[0] != key:
+        problems, values = _prime_free_problems(pair, cert)
+        kept = (key, tuple(problems), values)
+        object.__setattr__(pair, "_verdict", kept)
+    return kept[1], kept[2]
 
 
 def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str], tuple | None]:
@@ -451,8 +446,11 @@ def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str]
         if not (bc_num[v] * bs_den >= s * bc_den and s * pair.den >= pair.num[v] * bs_den):
             problems.append(f"sandwich Bc >= B* >= B fails at {v}")
     bs_pair = pair.with_coeff(bs)
-    if not classify(bs_pair).is_plt:
-        problems.append("pair with B* is not plt")
+    try:
+        if not classify(bs_pair).is_plt:
+            problems.append("pair with B* is not plt")
+    except GraphError as exc:
+        problems.append(f"classification of the pair with B* failed: {exc}")
 
     anchors = tuple(diff_on_component(bs_pair, cert.center))
     if anchors != cert.diff_anchors:
@@ -544,7 +542,9 @@ def _type_problems(cert: GfrCertificate) -> list[str]:
     if not (verdict.e_tried is None or (_is_int(verdict.e_tried) and verdict.e_tried >= 1)):
         problems.append(f"verdict e_tried={verdict.e_tried!r} is not a positive integer")
     fc = verdict.certificate
-    if fc is not None:
+    if not (fc is None or isinstance(fc, FRegCertificate)):
+        problems.append(f"stored witness {fc!r} is not a witness")
+    elif fc is not None:
         for name in ("p", "e"):
             if not _is_int(getattr(fc, name)):
                 problems.append(f"stored witness {name}={getattr(fc, name)!r} is not an integer")

@@ -183,8 +183,9 @@ def _search(pair: LogPair, level: int) -> ComplementCertificate | None:
             b_exc = dict(zip(exc, solved))
             cls = label(graph, level, {**dict(zip(nonexc, combo)), **b_exc}, level, b_exc)
             if cls.is_lc and not cls.is_klt:
-                bc = {v: Fraction(m, level) for v, m in zip(nonexc, combo)}
-                return ComplementCertificate(level=level, coeffs={**bc, **cls.b}, plt_case=cls.is_plt)
+                bc = {**{v: Fraction(m, level) for v, m in zip(nonexc, combo)}, **cls.b}
+                # in graph.ids order, the order in which a certificate payload lists it
+                return ComplementCertificate(level, {v: bc[v] for v in graph.ids}, cls.is_plt)
     return None
 
 

@@ -159,9 +159,9 @@ class LogPair:
     # The prime-free half of the certificate pipeline (`bstar.surgery`), set
     # once on first use and read by the construction only.
     _surgery: object = field(default=None, init=False, compare=False, repr=False)
-    # The prime-free verdict of the last certificate content that
-    # `bstar.reverify_certificate` checked on this pair, keyed by that
-    # content; read and written by `reverify_certificate` only.
+    # The prime-free verdict of the last certificate content checked on this
+    # pair, keyed by that content; written only by `bstar._prime_free_verdict`,
+    # which the construction and `reverify_certificate` share.
     _verdict: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):

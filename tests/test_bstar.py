@@ -381,6 +381,10 @@ def _tamperings(cert, other):
         ("bc", {**cert.bc, "C": True}),
         ("bc", None),
         ("fedder", None),
+        *(
+            ("fedder", dataclasses.replace(cert.fedder, certificate=value))
+            for value in ({"p": 7}, (7, 2), "x")
+        ),
     )
 
 
@@ -497,6 +501,12 @@ def test_mistyped_verdict_fields_are_reported():
         payload = json.loads(json.dumps(certificate_to_payload(gfr_certificate(pair, 7, e_max=6))))
         edited = {**payload, "fedder": {**payload["fedder"], key: value}}
         assert reverify_certificate(pair, certificate_from_payload(edited)) == [problem], (name, key)
+    # a stored witness that is no witness object is reported, not raised
+    pair = family("plt_fork_level6")
+    cert = gfr_certificate(pair, 7, e_max=6)
+    for value in ({"p": 7}, (7, 2), "x"):
+        mutated = dataclasses.replace(cert, fedder=dataclasses.replace(cert.fedder, certificate=value))
+        assert reverify_certificate(pair, mutated) == [f"stored witness {value!r} is not a witness"]
 
 
 def test_certificate_from_payload_names_a_broken_field():
@@ -579,8 +589,8 @@ def test_reverify_reads_nothing_the_pair_keeps(monkeypatch):
     for pair in (family("plt_fork_level6"), family("nonplt_fork")):
         cert = gfr_certificate(pair, 7, e_max=6)
         assert pair._surgery is not None
-        # the construction neither reads nor fills reverify's own memo
-        assert pair._verdict is None
+        # construction fills `_verdict`, through the check it shares with reverify
+        assert pair._verdict is not None
         payload = certificate_to_payload(cert)
         off_center = min(v for v in cert.bc if v != cert.center)
         for field in ("bc", "bstar"):
@@ -620,17 +630,24 @@ def test_reverify_memo_still_reports_every_tampering():
         assert reverify_certificate(pair, mutated) != [], (field, value)
 
 
-def test_reverify_memo_skips_unhashable_content_and_returns_fresh_lists():
+def test_reverify_memo_rejects_list_content_and_returns_fresh_lists():
     pair = family("nonplt_fork")
     cert = gfr_certificate(pair, 7, e_max=6)
     assert reverify_certificate(pair, cert) == []
-    kept = pair._verdict
-    # a list is no hashable key: the full check runs, reports, and stores nothing
-    as_list = dataclasses.replace(cert, diff=list(cert.diff))
-    assert reverify_certificate(pair, as_list) == [
-        "recorded different disagrees with the recomputation"
-    ]
-    assert pair._verdict is kept
+    (anchor, value), *rest = cert.diff_anchors
+    wrong_diff, wrong_anchor, wrong_case = [*cert.diff[:-1], F(1, 97)], [anchor[0], -1], ["plt"]
+    for field, listed, inner, index, right in (
+        ("diff", wrong_diff, wrong_diff, -1, cert.diff[-1]),
+        ("diff_anchors", ((wrong_anchor, value), *rest), wrong_anchor, 1, anchor[1]),
+        ("case", wrong_case, wrong_case, 0, cert.case),
+    ):
+        # each list follows an accepting check: a miss, rejected, kept in the key
+        mutated = dataclasses.replace(cert, **{field: listed})
+        assert reverify_certificate(pair, mutated) != [], field
+        # set in place to the accepted content, it still reads as a rejection
+        inner[index] = right
+        assert reverify_certificate(pair, mutated) != [], field
+        assert reverify_certificate(pair, cert) == [], field
     # a hit returns a new list each time, so a caller's edit stays its own
     tampered = dataclasses.replace(cert, bstar={**cert.bstar, cert.center: F(1, 2)})
     first = reverify_certificate(pair, tampered)
@@ -652,14 +669,38 @@ def test_reverify_checks_prime_free_content_once_per_germ(monkeypatch):
         calls.append(cert.prime)
         return real(pair, cert)
 
+    monkeypatch.setattr(bstar, "_prime_free_problems", counting)
     for name in ("plt_fork_level6", "nonplt_fork", "a1_tail"):
         pair = family(name)
-        certs = [gfr_certificate(pair, p, e_max=6) for p in (7, 11, 13)]
-        monkeypatch.setattr(bstar, "_prime_free_problems", counting)
-        for cert in certs:
+        for p in (7, 11, 13):
+            cert = gfr_certificate(pair, p, e_max=6)
             restored = certificate_from_payload(json.loads(json.dumps(certificate_to_payload(cert))))
             assert reverify_certificate(pair, restored) == []
-        monkeypatch.setattr(bstar, "_prime_free_problems", real)
-        # the certificates differ in their prime and witness only
-        assert calls == [7], name
+        # the construction's check, made before any prime is set, serves every
+        # certificate: they differ in their prime and witness only
+        assert calls == [None], name
         calls.clear()
+
+
+def test_reverify_reports_a_pair_that_is_not_negative_definite():
+    pair = family("a1_tail")
+    cert = gfr_certificate(pair, 7)
+    graph = pair.graph
+    flat = DualGraph(
+        [Vertex(v, 0 if v == "E" else graph.vertex(v).self_int, graph.vertex(v).exceptional) for v in graph.ids],
+        graph.edges(),
+    )
+    problems = reverify_certificate(LogPair(flat, pair.coeff), cert)
+    assert any(problem.startswith("classification of the pair with B* failed") for problem in problems)
+
+
+def test_a_kept_failure_is_raised_with_a_fresh_traceback():
+    import traceback
+
+    pair = LogPair(DualGraph([Vertex("E", -2, True)]), {})
+    depths = []
+    for _ in range(5):
+        with pytest.raises(PipelineError) as err:
+            gfr_certificate(pair, 7)
+        depths.append(len(traceback.extract_tb(err.value.__traceback__)))
+    assert depths[0] == depths[4]

@@ -3,8 +3,8 @@ state kept on a value.  A cache across calls can show a benchmark gain
 between ops that a user running each input once would not see, so the
 perfbench README ("Repeated inputs") asks each one to be named; state set on
 a value outside its constructor arguments (a dataclass field declared
-`init=False`) is derived from those arguments, and is named beside the
-memos.  The README's memo paragraph names them all."""
+`init=False`) is derived from those arguments, is named beside the memos,
+and is written by one function.  The README's memo paragraph names them all."""
 
 import ast
 from pathlib import Path
@@ -75,3 +75,43 @@ def test_declared_state_on_values():
     paragraph = _memo_paragraph()
     for name in found:
         assert f"`{name}`" in paragraph, name
+
+
+def _writers(tree, module):
+    """(field, module.function) for each object.__setattr__(obj, "<field>", ...)
+    call, named by the innermost function that makes it."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and _name(child) == "__setattr__"
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "object"
+                and len(child.args) == 3
+                and isinstance(child.args[1], ast.Constant)
+            ):
+                found.add((child.args[1].value, f"{module}.{function}"))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_each_kept_field_has_one_writer():
+    kept = {name.rsplit(".", 1)[1] for name in _declared(_kept_fields)}
+    writers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for field_name, function in _writers(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            if field_name in kept:
+                writers.setdefault(field_name, set()).add(function)
+    assert writers == {
+        "_surgery": {"bstar.surgery"},
+        "_verdict": {"bstar._prime_free_verdict"},
+        "den": {"graphs.__post_init__"},
+        "num": {"graphs.__post_init__"},
+    }
