@@ -5,14 +5,15 @@ search returning the least k in an interval with C(a, k) != 0 mod p.  Digit
 vectors come from two sources: the divide-and-conquer extraction
 `digits_fixed`, which works for any integer, and `expansion_digits`, which
 reads the digits of an integer just above floor(p^e r / s) off the periodic
-base-p expansion of r/s without dividing big integers.  Lucas residues read
-n and k in chunks of base B = p^m <= 2^12, where Kummer's theorem decides
-the zero test and a discrete log the residue from per-prime tables (one
-digit per chunk and a product of digit binomials above 2^12).  The search
-reads either source and then makes one pass over the digits (never a scan
-of the interval), so exponents with 10^5 base-p digits are fine.  Powers
-p^k, for the digit trees, the range checks and `fedder`'s p^e, come from
-one bounded memo, `_power`.
+base-p expansion of r/s without dividing big integers.  `digits_fixed`
+splits by recursive division, so it costs O(n^1.58) for n bits (Karatsuba),
+not O(n^2).  Lucas residues read n and k in chunks of base B = p^m <= 2^12,
+where Kummer's theorem decides the zero test and a discrete log the residue
+from per-prime tables (one digit per chunk and a product of digit binomials
+above 2^12).  The search reads either source and then makes one pass over
+the digits (never a scan of the interval), so exponents with 10^5 base-p
+digits are fine.  Powers p^k, for the digit trees, the range checks and
+`fedder`'s p^e, come from one bounded memo, `_power`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from operator import gt, lt, sub
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TABLE_BOUND = 1 << 12
+_DIV_LIMIT = 4000  # bits; builtin divmod of 3.12+ recurses only for divisors above 9,000
 
 
 def is_prime(n: int) -> bool:
@@ -85,6 +87,37 @@ def _power(p: int, k: int) -> int:
     return h * h * p if k & 1 else h * h
 
 
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for an n-bit b and 0 <= a < 2^n b by recursive division
+    (Burnikel and Ziegler, 1998), at a few multiplications' cost; builtin
+    divmod (quadratic on CPython 3.11) runs only for n <= _DIV_LIMIT."""
+    if n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half) & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return q1 << half | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """divmod(a12 2^n + a3, b) for b = b1 2^n + b2 (n-bit b1), a12 < b and
+    a3 < 2^n: the quotient of a12 by b1, corrected at most twice."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def _fill_digits(n: int, lo: int, e: int, p: int, out: list) -> None:
     if n == 0:
         return
@@ -95,8 +128,10 @@ def _fill_digits(n: int, lo: int, e: int, p: int, out: list) -> None:
             out[i] = d
             i += 1
         return
-    half = e >> 1
-    top, bottom = divmod(n, _power(p, half))
+    # the top part is the shorter, so it is below p^half < 2^(bits of p^half)
+    half = (e + 1) >> 1
+    power = _power(p, half)
+    top, bottom = _div2n1n(n, power, power.bit_length())
     _fill_digits(bottom, lo, half, p, out)
     _fill_digits(top, lo + half, e - half, p, out)
 
@@ -104,8 +139,8 @@ def _fill_digits(n: int, lo: int, e: int, p: int, out: list) -> None:
 def digits_fixed(n: int, p: int, e: int) -> list[int]:
     """Little-endian base-p digits of n, exactly e of them, for any base p >= 2.
 
-    Divide-and-conquer splitting keeps extraction near O(M(n) log e); plain
-    repeated divmod would be quadratic for 10^5-digit operands.
+    Each split divides by p^ceil(e/2) with `_div2n1n`, a few multiplications,
+    so the tree costs O(n^1.58) for n bits; builtin divmod splits were O(n^2).
     """
     require_int(n, 0, "n")
     require_int(p, 2, "base p")
@@ -189,52 +224,56 @@ def _chunk_tables(p: int):
     return root, digit_sum, log_sum
 
 
+def _dominated_chunks(n: int, k: int, p: int):
+    """The base-B chunks of n, k and n - k if each base-p digit of k is at
+    most n's, else None; 0 <= k <= n.  B = p^m is the largest power of p at
+    most 2^12 (p itself above 2^12); n and k are one chunk each if n < B,
+    else read by `digits_fixed`.  By Kummer's theorem, S(n_c) - S(k_c) -
+    S(n_c - k_c) (digit sums from `_chunk_tables`) is -(p - 1) times the
+    borrows of n_c - k_c, so k is dominated exactly when every n_c >= k_c
+    and those sums balance.  Leading zero chunks are harmless."""
+    tables = _chunk_tables(p) if p <= _TABLE_BOUND else None
+    base = len(tables[1]) if tables else p
+    if n < base:
+        # one chunk: the same test on the three table entries themselves
+        if tables and tables[1][n] != tables[1][k] + tables[1][n - k]:
+            return None
+        return [n], [k], [n - k]
+    e = int(n.bit_length() / math.log2(base)) + 2
+    nc, kc = digits_fixed(n, base, e), digits_fixed(k, base, e)
+    dc = list(map(sub, nc, kc))
+    if min(dc) < 0:
+        return None
+    if tables:
+        s = tables[1].__getitem__
+        if sum(map(s, nc)) != sum(map(s, kc)) + sum(map(s, dc)):
+            return None
+    return nc, kc, dc
+
+
 def binom_mod_p(n: int, k: int, p: int) -> int:
     """C(n, k) mod p by Lucas' theorem: the product of C(n_i, k_i) mod p
     over the base-p digits, 0 unless every k_i <= n_i (and when k > n).
 
-    For p <= 2^12, n and k are read in chunks of base B = p^m, the largest
-    power of p at most 2^12 (one chunk each if n < B, else by
-    `digits_fixed`), and each test is a `map`/`sum` over the tables of
-    `_chunk_tables`.  By Kummer's theorem, S(n_c) - S(k_c) - S(n_c - k_c)
-    is -(p - 1) times the borrows of n_c - k_c, so k is dominated exactly
-    when every chunk has n_c >= k_c and those digit sums balance.  Then each
-    C(n_i, k_i) is n_i! / (k_i! (n_i - k_i)!), a quotient of units, so the
-    residue is g to the sum over chunks of L(n_c) - L(k_c) - L(n_c - k_c).
-    Primes above 2^12 take one digit per chunk and multiply the digit
-    binomials.  Digit counts come from bit lengths; leading zeros are
-    harmless.
+    `_dominated_chunks` reads n and k in chunks and decides the zero test.
+    Then each C(n_i, k_i) is n_i! / (k_i! (n_i - k_i)!), a quotient of
+    units, so for p <= 2^12 the residue is g to the sum over chunks of
+    L(n_c) - L(k_c) - L(n_c - k_c), from the tables of `_chunk_tables`.
+    Primes above 2^12 multiply the digit binomials.
     """
     require_prime(p)
     require_int(n, 0, "n")
     require_int(k, 0, "k")
-    if k > n:
-        return 0
     if k == 0:
         return 1
-    tables = _chunk_tables(p) if p <= _TABLE_BOUND else None
-    base = len(tables[1]) if tables else p
-    if n < base:
-        if tables:
-            # one chunk: the same test on the three table entries themselves
-            root, digit_sum, log_sum = tables
-            d = n - k
-            if digit_sum[n] != digit_sum[k] + digit_sum[d]:
-                return 0
-            return pow(root, (log_sum[n] - log_sum[k] - log_sum[d]) % (p - 1), p)
-        nc, kc = [n], [k]
-    else:
-        e = int(n.bit_length() / math.log2(base)) + 2
-        nc, kc = digits_fixed(n, base, e), digits_fixed(k, base, e)
-    if tables is None:
+    chunks = _dominated_chunks(n, k, p) if k <= n else None
+    if chunks is None:
+        return 0
+    nc, kc, dc = chunks
+    if p > _TABLE_BOUND:
         return functools.reduce(lambda acc, c: acc * c % p, map(_binom_digit, nc, kc, repeat(p)), 1)
-    root, digit_sum, log_sum = tables
-    dc = list(map(sub, nc, kc))
-    if min(dc) < 0:
-        return 0
-    s, l = digit_sum.__getitem__, log_sum.__getitem__
-    if sum(map(s, nc)) != sum(map(s, kc)) + sum(map(s, dc)):
-        return 0
+    root, _, log_sum = _chunk_tables(p)
+    l = log_sum.__getitem__
     return pow(root, (sum(map(l, nc)) - sum(map(l, kc)) - sum(map(l, dc))) % (p - 1), p)
 
 

@@ -21,6 +21,7 @@ from frsurf.fedder import (
     verify_witness,
 )
 from frsurf.padic import binom_mod_p, exists_dominated_in_interval
+from test_padic import _divmod_digits, _lucas_reference
 
 
 def test_pair_validation():
@@ -104,6 +105,33 @@ def test_verify_witness_matches_big_binomial():
             i, j = a1 + k, a2 + a3 - k
             expected = i <= cap and 0 <= j <= cap and k <= a3 and math.comb(a3, k) % p != 0
             assert verify_witness((a1, a2, a3), i, j, p, e) == expected, (p, e, a1, a2, a3, k)
+
+
+def test_verify_witness_decides_dominance_on_slow_witnesses():
+    # Slow witnesses (p does not divide k) make verify_witness extract the
+    # digits of a3 and k in full; Lucas' zero test alone must decide them.
+    values = [F(1, 2), F(2, 3), F(3, 4), F(4, 5)]
+    triples = [t for t in itertools.product(values, repeat=3) if sum(t) < 2 and t[1] + t[2] > 1]
+    for p, e in ((11, 5000), (101, 4999)):
+        slow = 0
+        for t in triples:
+            cert = fedder.test_at(P1Pair.from_coeffs(t), p, e)
+            if cert is None or (cert.witness[0] - cert.a[0]) % p == 0:
+                continue
+            slow += 1
+            (a1, a2, a3), (i, j) = cert.a, cert.witness
+            k = i - a1
+            expected = _lucas_reference(a3, k, p) != 0  # the gcd g is 1: p does not divide k
+            assert expected and verify_witness(cert.a, i, j, p, e) == expected
+            # Tamper one digit: set k's digit t to a3's plus one (k + p^t where
+            # they are equal), so C(a3, k) vanishes; the degree sum holds.
+            digits_k, digits_a3 = _divmod_digits(k, p, e), _divmod_digits(a3, p, e)
+            t = next(t for t in range(e // 2, e) if digits_a3[t] < p - 1)
+            bump = (digits_a3[t] + 1 - digits_k[t]) * p**t
+            assert k + bump <= a3 and i + bump <= p**e - 2
+            assert _lucas_reference(a3, k + bump, p) == 0
+            assert not verify_witness(cert.a, i + bump, j - bump, p, e), (t, p, e)
+        assert slow >= 4, (p, e)
 
 
 def test_test_at_returns_canonical_witness():

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frsurf import padic
 from frsurf.padic import (
+    _DIV_LIMIT,
     _chunk_tables,
+    _div2n1n,
     binom_mod_p,
     ceil_mul,
     digits_fixed,
@@ -282,6 +285,9 @@ def test_digits_fixed_divide_and_conquer_path():
             assert all(0 <= d < p for d in digs)
 
 
+_WIDE = random.Random(29).getrandbits(40_000)  # m % p^e is a random e-digit n
+
+
 @settings(max_examples=300)
 @given(
     p=st.sampled_from([2, 7, 97, 101]),
@@ -293,11 +299,79 @@ def test_digits_fixed_divide_and_conquer_path():
 @example(p=7, e=33, m=-1)
 @example(p=97, e=64, m=0)
 @example(p=101, e=65, m=-1)
+# p^ceil(e/2) above _DIV_LIMIT bits: the top splits are recursive divisions
+@example(p=101, e=1203, m=-1)
+@example(p=101, e=5000, m=_WIDE)
+@example(p=7, e=2851, m=-1)
+@example(p=7, e=9000, m=_WIDE)
+@example(p=2, e=8002, m=_WIDE)
+@example(p=4093, e=700, m=-1)
 def test_digits_fixed_matches_repeated_divmod(p, e, m):
     n = m % p**e  # m = 0 and m = -1 give the edges n = 0 and n = p^e - 1
     assert digits_fixed(n, p, e) == _divmod_digits(n, p, e)
     with pytest.raises(ValueError):
         digits_fixed(p**e, p, e)
+
+
+def _division_cases(b):
+    """Dividends a < 2^n b for an n-bit divisor b: any, the edge 2^n b - 1,
+    and those with a >> n = b - 1, whose top half is b's unless b's low
+    half is 0 (the a12 >> n == b1 branch of _div3n2n)."""
+    n = b.bit_length()
+    return st.tuples(
+        st.one_of(
+            st.integers(0, (b << n) - 1),
+            st.just((b << n) - 1),
+            st.integers(0, (1 << n) - 1).map(lambda low: ((b - 1) << n) + low),
+        ),
+        st.just(b),
+    )
+
+
+def _edge(b):
+    return (b << b.bit_length()) - 1, b
+
+
+_ANY_DIVISOR = st.integers(1, 3 * _DIV_LIMIT).flatmap(
+    lambda n: st.integers(1 << (n - 1), (1 << n) - 1)
+)
+_POWER_DIVISOR = st.builds(pow, st.sampled_from([2, 3, 7, 101, 4093]), st.integers(1, 1200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ab=st.one_of(_ANY_DIVISOR, _POWER_DIVISOR).flatmap(_division_cases))
+@example(ab=(101**11745 - 1, 101**5873))  # the top split of an e = 11,745 extraction
+@example(ab=_edge(101**5873))  # 39k bits
+@example(ab=_edge((1 << 20000) + 7**5000))  # an odd bit length, 20,001
+@example(ab=(7**57000 - 12345, 7**28500))  # an 80k-bit divisor
+@example(ab=(0, 7**3000))
+def test_recursive_division_matches_divmod(ab):
+    a, b = ab
+    n = b.bit_length()
+    assert a < b << n
+    assert _div2n1n(a, b, n) == divmod(a, b)
+
+
+def test_digits_fixed_never_divides_large_operands_with_builtin_divmod(monkeypatch):
+    # Shadowing module globals record the dividend of every builtin divmod
+    # that padic makes (above the cutoff, every split recurses) and check
+    # the precondition of every recursive division, a < 2^n b for n-bit b.
+    sizes = []
+
+    def recording_divmod(a, b):
+        sizes.append(a.bit_length())
+        return divmod(a, b)
+
+    def checked_div2n1n(a, b, n):
+        assert b.bit_length() == n and 0 <= a < b << n
+        return _div2n1n(a, b, n)
+
+    monkeypatch.setattr(padic, "divmod", recording_divmod, raising=False)
+    monkeypatch.setattr(padic, "_div2n1n", checked_div2n1n)
+    n = random.Random(10**5).randrange(7**10**5)
+    digits = digits_fixed(n, 7, 10**5)
+    assert sizes and max(sizes) <= 2 * _DIV_LIMIT
+    assert _from_digits(digits, 7) == n
 
 
 def test_dominated_search_examples():
