@@ -13,13 +13,14 @@ case), and the different of B* along the center as a `P1Pair`.  The
 per-prime half, `gfr_certificate(pair, p)`, runs only the monomial test on
 that different and the checks of its witness.  `reverify_certificate` is
 the one definition of a valid certificate: it checks the complement, that
-B* is the recorded surgery of Bc, anti-nefness of K + B*, the sandwich
-Bc >= B* >= B, plt-ness of (graph, B*) and the different with its anchors,
-then the witness on the recomputed different; `gfr_certificate` returns
-only certificates that pass these checks.  Both read the prime-free
-verdict from `_prime_free_verdict`, which the pair keeps for the last
-content checked, so a germ's certificates at several primes, built or
-reverified, share one prime-free check.
+the recorded chain is a path from the center and B* the recorded surgery of
+Bc along it, anti-nefness of K + B*, the sandwich Bc >= B* >= B, plt-ness
+of (graph, B*) and the different with its anchors, then the witness on
+the recomputed different; `gfr_certificate` returns only certificates that
+pass these checks.  Both read the prime-free verdict from
+`_prime_free_verdict`, which the pair keeps for the last content checked,
+so a germ's certificates at several primes, built or reverified, share one
+prime-free check.
 """
 from __future__ import annotations
 
@@ -375,12 +376,13 @@ def certificate_from_payload(payload: dict) -> GfrCertificate:
 
 
 def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
-    """Re-check a certificate from scratch with graph and monomial primitives only.
+    """Re-check a certificate with graph and monomial primitives only.
 
     Returns a new list of discrepancies (empty means the certificate
     stands); a tampered field is reported, not raised.  The prime-free half
-    the pair keeps (`surgery`) is never read, only the verdict on equal
-    content (`_prime_free_verdict`); then the witness is checked.
+    the pair keeps (`surgery`) is never read, but its verdict on equal
+    content is (`_prime_free_verdict`): on the pair that built the
+    certificate no prime-free check runs again.  Then the witness is checked.
     """
     mistyped = _type_problems(cert)
     if mistyped:
@@ -392,10 +394,9 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
 def _prime_free_verdict(pair: LogPair, cert: GfrCertificate) -> tuple[tuple[str, ...], tuple | None]:
     """`_prime_free_problems` of well-typed content, kept on the pair for the
     last content checked (`LogPair._verdict`), keyed by every field it reads.
-    `_type_problems` fixes the type of each of them but case, diff and
-    diff_anchors, which are only compared, with ==, to strings and tuples the
-    check builds: a list anywhere in them always gives a rejection, so an edit
-    in place can never turn that into an accepting hit."""
+    `_type_problems` fixes the type of each of them but case, which is only
+    compared, with ==, to strings: a list there always gives a rejection, so
+    an edit in place can never turn that into an accepting hit."""
     key = (cert.case, cert.level, cert.center, cert.gamma0, cert.gamma_prime,
            tuple(cert.bc.items()), tuple(cert.bstar.items()), cert.epsilon, cert.diff,
            cert.diff_anchors)
@@ -409,9 +410,10 @@ def _prime_free_verdict(pair: LogPair, cert: GfrCertificate) -> tuple[tuple[str,
 
 def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str], tuple | None]:
     """Every check of a well-typed certificate but its witness: the
-    complement, the recorded surgery, K + B* anti-nef, the sandwich, plt-ness
-    of (graph, B*) and the different with its anchors.  Returns the problems
-    and the recomputed different, None when a field stops the check early."""
+    complement, the recorded chain a path from the center, the recorded
+    surgery, K + B* anti-nef, the sandwich, plt-ness of (graph, B*) and the
+    different with its anchors.  Returns the problems and the recomputed
+    different, None when a field stops the check early."""
     graph = pair.graph
     bc = cert.bc
     bs = cert.bstar
@@ -422,9 +424,11 @@ def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str]
         return [f"center {cert.center!r} is not a vertex of the graph"], None
     if cert.case not in ("plt", "non_plt"):
         return [f"unknown case {cert.case!r}"], None
-    unknown = sorted({*cert.gamma0, *cert.gamma_prime} - set(graph.ids))
-    if unknown:
-        return ["chain names unknown vertices " + ", ".join(map(str, unknown))], None
+    # a step to an unknown vertex fails before its neighbors are read
+    walk = (cert.center, *cert.gamma0, *cert.gamma_prime)
+    steps = zip(walk, walk[1:])
+    if len(set(walk)) < len(walk) or any(b not in dict(graph.neighbors(a)) for a, b in steps):
+        return ["the recorded chain is not a path from the center"], None
     bs_den, bs_num = numerators(bs)
     outside = sorted(v for v, n in bs_num.items() if not 0 <= n <= bs_den)
     if outside:
@@ -502,6 +506,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_rational(value) -> bool:
+    return _is_int(value) or isinstance(value, Fraction)
+
+
+def _is_anchor(value) -> bool:
+    """Whether value is ((vertex name, index), exact rational)."""
+    return (type(value) is tuple and len(value) == 2 and type(value[0]) is tuple
+            and tuple(map(type, value[0])) == (str, int) and _is_rational(value[1]))
+
+
 def _type_problems(cert: GfrCertificate) -> list[str]:
     """Fields of the wrong type (scalars, chains, coefficient maps, the
     verdict's fields), and an e_max or e_tried below 1: the checks of
@@ -528,10 +542,14 @@ def _type_problems(cert: GfrCertificate) -> list[str]:
         problems.extend(
             f"{name} at {v!r} is {c!r}, not an exact rational"
             for v, c in value.items()
-            if not (_is_int(c) or isinstance(c, Fraction))
+            if not _is_rational(c)
         )
-    if not (cert.epsilon is None or _is_int(cert.epsilon) or isinstance(cert.epsilon, Fraction)):
+    if not (cert.epsilon is None or _is_rational(cert.epsilon)):
         problems.append(f"epsilon {cert.epsilon!r} is not an exact rational")
+    if not (isinstance(cert.diff, tuple) and all(map(_is_rational, cert.diff))):
+        problems.append(f"diff {cert.diff!r} is not a tuple of exact rationals")
+    if not (isinstance(cert.diff_anchors, tuple) and all(map(_is_anchor, cert.diff_anchors))):
+        problems.append(f"diff_anchors {cert.diff_anchors!r} is not a tuple of anchors")
     if not isinstance(cert.fedder, FRegVerdict):
         return [*problems, f"fedder {cert.fedder!r} is not a verdict"]
     verdict = cert.fedder

@@ -23,14 +23,14 @@ standard coefficients that satisfy the search hypotheses (klt, -(K+B) nef
 over the base); complements may or may not exist on them.  It rejects a
 candidate that fails the nef test of `_require_hypotheses`
 (`complements._positive_dots`, an integer pairing that needs no lattice)
-before `_require_hypotheses` classifies it.  For the length of one
-call it keeps one `DualGraph` per drawn shape (self-intersections and edge
-list) whose candidate passed the nef test, and one per distinct family
-graph, so returned pairs may share a `DualGraph`, as a family and its
-jittered copies always have.  Each shape's lattice is factored once by the
-process-wide memo behind `DualGraph.lattice` in any case, so this per-call
-memo saves only graph construction: `random_corpus(111, 601)` takes about
-65 ms with it and 73 ms without (best of seven, 2-vCPU x86_64 host).
+before `_require_hypotheses` classifies it.  For the length of one call
+it keeps one `DualGraph` per drawn shape (self-intersections and edge
+list) whose candidate passed the nef test, so returned pairs may share a
+`DualGraph`, as a family and its jittered copies always have.  Each
+shape's lattice is factored once by the process-wide memo behind
+`DualGraph.lattice` in any case, so this per-call memo saves only graph
+construction: `random_corpus(111, 601)` takes about 65 ms with it and
+73 ms without (best of seven, 2-vCPU x86_64 host).
 """
 
 from __future__ import annotations
@@ -123,14 +123,9 @@ def _admissible(pair: LogPair) -> bool:
 def random_corpus(seed: int, count: int) -> list[LogPair]:
     """Deterministic corpus of germs satisfying the search hypotheses."""
     rng = random.Random(seed)
-    # The per-call graph memo: drawn shapes, and families with equal graphs
-    # (a1_tail and a1_tail_half) sharing one.
+    # The per-call graph memo: one DualGraph per drawn shape.
     graphs: dict = {}
-    families = []
-    for _name, pair in deliberate_families():
-        g = pair.graph
-        graph = graphs.setdefault((tuple(map(g.vertex, g.ids)), tuple(g.edges())), g)
-        families.append(pair if graph is g else LogPair(graph, pair.coeff))
+    families = [pair for _name, pair in deliberate_families()]
     out = list(families)
     guard = 0
     while len(out) < count:

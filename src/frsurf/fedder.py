@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import (
-    _dominated_chunks,
+    _dominated,
     _least_dominated,
     _power,
     ceil_mul,
@@ -136,7 +136,7 @@ def verify_witness(a, i: int, j: int, p: int, e: int) -> bool:
     """Check that x^i y^j really occurs in x^a1 y^a2 (x+y)^a3 with i, j <= p^e - 2.
 
     The coefficient of x^i y^j is C(a3, i - a1), nonzero mod p iff the
-    digits of i - a1 are dominated by those of a3 (`_dominated_chunks`).  Low
+    digits of i - a1 are dominated by those of a3 (`_dominated`).  Low
     zero digits of i - a1 are always dominated: its gcd with p^e strips them.
     """
     power = _checked_power(p, e)
@@ -150,7 +150,7 @@ def verify_witness(a, i: int, j: int, p: int, e: int) -> bool:
         return False
     k = i - a1
     g = math.gcd(k, power) if k % p == 0 else 1
-    return _dominated_chunks(a3 // g, k // g, p) is not None
+    return _dominated(a3 // g, k // g, p)
 
 
 def test_at(pair: P1Pair, p: int, e: int) -> FRegCertificate | None:

@@ -7,10 +7,10 @@ vectors come from two sources: the divide-and-conquer extraction
 reads the digits of an integer just above floor(p^e r / s) off the periodic
 base-p expansion of r/s without dividing big integers.  `digits_fixed`
 splits by recursive division, so it costs O(n^1.58) for n bits (Karatsuba),
-not O(n^2).  Lucas residues read n and k in chunks of base B = p^m <= 2^12,
-where Kummer's theorem decides the zero test and a discrete log the residue
-from per-prime tables (one digit per chunk and a product of digit binomials
-above 2^12).  The search reads either source and then makes one pass over
+not O(n^2).  Lucas' zero test reads n and k in chunks of base B = p^m <=
+2^12 and decides by Kummer's theorem from a per-prime table of digit sums
+(one digit per chunk above 2^12); a nonzero residue is the product of the
+digit binomials.  The search reads either source and then makes one pass over
 the digits (never a scan of the interval), so exponents with 10^5 base-p
 digits are fine.  Powers p^k, for the digit trees, the range checks and
 `fedder`'s p^e, come from one bounded memo, `_power`.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import gt, lt, sub
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -191,10 +191,8 @@ def expansion_digits(n: int, r: int, s: int, p: int, e: int, power: int) -> list
 
 
 def _binom_digit(a: int, b: int, p: int) -> int:
-    """C(a, b) mod p for digits a, b < p (0 if b > a), by the multiplicative
-    formula over min(b, a - b) factors and one modular inverse."""
-    if b > a:
-        return 0
+    """C(a, b) mod p for digits b <= a < p, by the multiplicative formula
+    over min(b, a - b) factors and one modular inverse."""
     b = min(b, a - b)
     num = den = 1
     for i in range(1, b + 1):
@@ -204,77 +202,48 @@ def _binom_digit(a: int, b: int, p: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _chunk_tables(p: int):
-    """A primitive root g mod p and two tables over the chunks 0 <= x < B,
-    where B = p^m is the largest power of p at most 2^12: the base-p digit
-    sum S(x), and L(x), the sum of log_g(x_j!) over the base-p digits x_j
-    of x.  A chunk x = h p + d has S(x) = S(h) + d and L(x) = L(h) + L(d)."""
-    for root in range(1, p):
-        log, x = {}, 1
-        while x not in log:
-            log[x] = len(log)
-            x = x * root % p
-        if len(log) == p - 1:
-            break
-    log_fact = list(accumulate(map(log.__getitem__, range(1, p)), initial=0))
-    digit_sum, log_sum = [0], [0]
+def _chunk_tables(p: int) -> list[int]:
+    """The base-p digit sum S(x) of each chunk 0 <= x < B, where B = p^m is
+    the largest power of p at most 2^12.  A chunk x = h p + d has
+    S(x) = S(h) + d."""
+    digit_sum = [0]
     while len(digit_sum) * p <= _TABLE_BOUND:
         digit_sum = [s + d for s in digit_sum for d in range(p)]
-        log_sum = [s + f for s in log_sum for f in log_fact]
-    return root, digit_sum, log_sum
+    return digit_sum
 
 
-def _dominated_chunks(n: int, k: int, p: int):
-    """The base-B chunks of n, k and n - k if each base-p digit of k is at
-    most n's, else None; 0 <= k <= n.  B = p^m is the largest power of p at
-    most 2^12 (p itself above 2^12); n and k are one chunk each if n < B,
-    else read by `digits_fixed`.  By Kummer's theorem, S(n_c) - S(k_c) -
-    S(n_c - k_c) (digit sums from `_chunk_tables`) is -(p - 1) times the
-    borrows of n_c - k_c, so k is dominated exactly when every n_c >= k_c
-    and those sums balance.  Leading zero chunks are harmless."""
-    tables = _chunk_tables(p) if p <= _TABLE_BOUND else None
-    base = len(tables[1]) if tables else p
+def _dominated(n: int, k: int, p: int) -> bool:
+    """Whether each base-p digit of k is at most n's; 0 <= k <= n.  n and k
+    are read in base-B chunks, B = p^m the largest power of p at most 2^12
+    (p itself above 2^12): one chunk each if n < B, else by `digits_fixed`.
+    By Kummer's theorem, S(n_c) - S(k_c) - S(n_c - k_c) (digit sums from
+    `_chunk_tables`) is -(p - 1) times the borrows of n_c - k_c, so k is
+    dominated exactly when every n_c >= k_c and those sums balance.
+    Leading zero chunks are harmless."""
+    table = _chunk_tables(p) if p <= _TABLE_BOUND else None
+    base = len(table) if table else p
     if n < base:
         # one chunk: the same test on the three table entries themselves
-        if tables and tables[1][n] != tables[1][k] + tables[1][n - k]:
-            return None
-        return [n], [k], [n - k]
+        return table is None or table[n] == table[k] + table[n - k]
     e = int(n.bit_length() / math.log2(base)) + 2
     nc, kc = digits_fixed(n, base, e), digits_fixed(k, base, e)
     dc = list(map(sub, nc, kc))
-    if min(dc) < 0:
-        return None
-    if tables:
-        s = tables[1].__getitem__
-        if sum(map(s, nc)) != sum(map(s, kc)) + sum(map(s, dc)):
-            return None
-    return nc, kc, dc
+    s = table.__getitem__ if table else None
+    return min(dc) >= 0 and (s is None or sum(map(s, nc)) == sum(map(s, kc)) + sum(map(s, dc)))
 
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' theorem: the product of C(n_i, k_i) mod p
-    over the base-p digits, 0 unless every k_i <= n_i (and when k > n).
-
-    `_dominated_chunks` reads n and k in chunks and decides the zero test.
-    Then each C(n_i, k_i) is n_i! / (k_i! (n_i - k_i)!), a quotient of
-    units, so for p <= 2^12 the residue is g to the sum over chunks of
-    L(n_c) - L(k_c) - L(n_c - k_c), from the tables of `_chunk_tables`.
-    Primes above 2^12 multiply the digit binomials.
-    """
+    """C(n, k) mod p by Lucas' theorem: 0 unless every base-p digit k_i <= n_i
+    (`_dominated`), else the product of the digit binomials C(n_i, k_i) mod p
+    (`_binom_digit`) over the digits from `digits_fixed`, at every prime."""
     require_prime(p)
     require_int(n, 0, "n")
     require_int(k, 0, "k")
-    if k == 0:
-        return 1
-    chunks = _dominated_chunks(n, k, p) if k <= n else None
-    if chunks is None:
+    if k > n or not _dominated(n, k, p):
         return 0
-    nc, kc, dc = chunks
-    if p > _TABLE_BOUND:
-        return functools.reduce(lambda acc, c: acc * c % p, map(_binom_digit, nc, kc, repeat(p)), 1)
-    root, _, log_sum = _chunk_tables(p)
-    l = log_sum.__getitem__
-    return pow(root, (sum(map(l, nc)) - sum(map(l, kc)) - sum(map(l, dc))) % (p - 1), p)
+    e = int(n.bit_length() / math.log2(p)) + 2
+    factors = map(_binom_digit, digits_fixed(n, p, e), digits_fixed(k, p, e), repeat(p))
+    return functools.reduce(lambda acc, c: acc * c % p, factors, 1)
 
 
 def _least_dominated(digits_a: list, digits_lo: list, lo: int, hi: int, p: int, power: int):

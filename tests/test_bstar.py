@@ -17,7 +17,7 @@ from frsurf.bstar import (
 )
 from frsurf.cli import main
 from frsurf.complements import ComplementCertificate, minimal_complement
-from frsurf.corpus import deliberate_families, family, random_corpus
+from frsurf.corpus import FAMILIES, deliberate_families, family, random_corpus
 from frsurf.dgf import GermFile, parse_germ, render_germ
 from frsurf.graphs import DualGraph, LogPair, PairingLattice, Vertex, classify
 from kernel_reference import fraction_dots
@@ -381,6 +381,11 @@ def _tamperings(cert, other):
         ("bc", {**cert.bc, "C": True}),
         ("bc", None),
         ("fedder", None),
+        # a different or an anchor equal to the recomputed one, but inexact
+        ("diff", (0.5, *cert.diff[1:])),
+        ("diff_anchors", ((("A", 0.0), F(1, 2)), *cert.diff_anchors[1:])),
+        ("diff_anchors", ((("A", False), F(1, 2)), *cert.diff_anchors[1:])),
+        ("diff_anchors", ((("A", 0), 0.5), *cert.diff_anchors[1:])),
         *(
             ("fedder", dataclasses.replace(cert.fedder, certificate=value))
             for value in ({"p": 7}, (7, 2), "x")
@@ -443,7 +448,9 @@ def test_reverify_detects_tampering():
     for germ, c, extra in (
         (nonplt, gfr_certificate(nonplt, 7, e_max=6), (
             ("case", "foo"), ("epsilon", None), ("epsilon", "1/2"), ("epsilon", 0.5),
-            ("gamma0", ("E1",)), ("gamma_prime", ()), ("gamma_prime", ("E3",)))),
+            ("gamma0", ("E1",)), ("gamma_prime", ()), ("gamma_prime", ("E3",)),
+            # the walk must be a path from the center: no repeat, no jump
+            ("gamma_prime", ("E3", "E3", "L3")), ("gamma_prime", ("L3", "E3")))),
         (pair, cert, (("epsilon", F(1, 2)), ("gamma0", ("D",)), ("gamma_prime", ("L",)))),
     ):
         fc = c.fedder.certificate
@@ -507,6 +514,43 @@ def test_mistyped_verdict_fields_are_reported():
     for value in ({"p": 7}, (7, 2), "x"):
         mutated = dataclasses.replace(cert, fedder=dataclasses.replace(cert.fedder, certificate=value))
         assert reverify_certificate(pair, mutated) == [f"stored witness {value!r} is not a witness"]
+
+
+def _payload_edits(node):
+    """Copies of a JSON value with one type-changing edit each: an int made a
+    float, a string put in a list, or one list entry dropped or repeated."""
+    if isinstance(node, bool):
+        return
+    if isinstance(node, int):
+        yield float(node)
+    elif isinstance(node, str):
+        yield [node]
+    elif isinstance(node, list):
+        for i, entry in enumerate(node):
+            yield node[:i] + node[i + 1:]
+            yield node[:i + 1] + node[i:]
+            for edited in _payload_edits(entry):
+                yield [*node[:i], edited, *node[i + 1:]]
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            for edited in _payload_edits(value):
+                yield {**node, key: edited}
+
+
+def test_accepted_payload_edits_reserialize_byte_for_byte():
+    """Each edit is unreadable, rejected on a freshly parsed pair, or changes
+    nothing the certificate says: it writes the original JSON back."""
+    import json
+
+    for name in FAMILIES:
+        original = json.dumps(certificate_to_payload(gfr_certificate(family(name), 7, e_max=6)))
+        for payload in _payload_edits(json.loads(original)):
+            try:
+                edited = certificate_from_payload(payload)
+            except ValueError:
+                continue
+            if reverify_certificate(family(name), edited) == []:
+                assert json.dumps(certificate_to_payload(edited)) == original, (name, payload)
 
 
 def test_certificate_from_payload_names_a_broken_field():

@@ -127,14 +127,11 @@ def _chunk_base(p):
 
 def test_chunk_tables_brute_force():
     for p in (2, 3, 5, 7, 11, 13):
-        root, digit_sum, log_sum = _chunk_tables(p)
-        assert len(digit_sum) == len(log_sum) == _chunk_base(p)
-        assert {pow(root, i, p) for i in range(p - 1)} == set(range(1, p))
+        digit_sum = _chunk_tables(p)
+        assert len(digit_sum) == _chunk_base(p)
         for x in range(len(digit_sum)):
             digits = _divmod_digits(x, p, 12)
             assert digit_sum[x] == sum(digits), (p, x)
-            fact = math.prod(math.factorial(d) for d in digits) % p
-            assert pow(root, log_sum[x], p) == fact, (p, x)
 
 
 def test_binom_chunks_match_lucas_reference():
