@@ -9,10 +9,11 @@ base-p expansion of r/s without dividing big integers.  `digits_fixed`
 splits by recursive division, so it costs O(n^1.58) for n bits (Karatsuba),
 not O(n^2).  Lucas' zero test reads n and k in chunks of base B = p^m <=
 2^12 and decides by Kummer's theorem from a per-prime table of digit sums
-(one digit per chunk above 2^12); a nonzero residue is the product of the
-digit binomials.  The search reads either source and then makes one pass over
-the digits (never a scan of the interval), so exponents with 10^5 base-p
-digits are fine.  Powers p^k, for the digit trees, the range checks and
+when a chunk holds two digits or more (p <= 61); with one digit per chunk it
+compares the digits.  A nonzero residue is the product of the digit
+binomials.  The search reads either source and then makes one pass over the
+digits (never a scan of the interval), so exponents with 10^5 base-p digits
+are fine.  Powers p^k, for the digit trees, the range checks and
 `fedder`'s p^e, come from one bounded memo, `_power`.
 """
 
@@ -204,8 +205,8 @@ def _binom_digit(a: int, b: int, p: int) -> int:
 @functools.lru_cache(maxsize=8)
 def _chunk_tables(p: int) -> list[int]:
     """The base-p digit sum S(x) of each chunk 0 <= x < B, where B = p^m is
-    the largest power of p at most 2^12.  A chunk x = h p + d has
-    S(x) = S(h) + d."""
+    the largest power of p at most 2^12 (read for p^2 <= 2^12, where m >= 2).
+    A chunk x = h p + d has S(x) = S(h) + d."""
     digit_sum = [0]
     while len(digit_sum) * p <= _TABLE_BOUND:
         digit_sum = [s + d for s in digit_sum for d in range(p)]
@@ -215,12 +216,13 @@ def _chunk_tables(p: int) -> list[int]:
 def _dominated(n: int, k: int, p: int) -> bool:
     """Whether each base-p digit of k is at most n's; 0 <= k <= n.  n and k
     are read in base-B chunks, B = p^m the largest power of p at most 2^12
-    (p itself above 2^12): one chunk each if n < B, else by `digits_fixed`.
+    (p itself when p^2 > 2^12): one chunk each if n < B, else by `digits_fixed`.
     By Kummer's theorem, S(n_c) - S(k_c) - S(n_c - k_c) (digit sums from
     `_chunk_tables`) is -(p - 1) times the borrows of n_c - k_c, so k is
     dominated exactly when every n_c >= k_c and those sums balance.
-    Leading zero chunks are harmless."""
-    table = _chunk_tables(p) if p <= _TABLE_BOUND else None
+    With one digit per chunk (p^2 > 2^12) the table would be the identity,
+    so the digit comparison alone decides.  Leading zero chunks are harmless."""
+    table = _chunk_tables(p) if p * p <= _TABLE_BOUND else None
     base = len(table) if table else p
     if n < base:
         # one chunk: the same test on the three table entries themselves

@@ -216,6 +216,17 @@ def test_cli_fregular(capsys):
     assert "inconclusive" in out
 
 
+def test_cli_fregular_ignores_zero_coefficients(capsys):
+    for fmt in ("text", "json"):
+        argv = ["--p", "7", "--e-max", "6", "--format", fmt]
+        with_zero = _run(capsys, "fregular-p1", "--coeffs", "1/2,2/3,0,3/4", *argv)
+        assert with_zero == _run(capsys, "fregular-p1", "--coeffs", "1/2,2/3,3/4", *argv)
+        with_zero = _run(capsys, "fregular-p1", "--coeffs", "0,1/2,0,0,2/3", *argv)
+        assert with_zero == _run(capsys, "fregular-p1", "--coeffs", "1/2,2/3", *argv)
+    code, out = _run(capsys, "fregular-p1", "--coeffs", "1/2,1/2,1/2,1/2", "--p", "7")
+    assert code == 3 and "at most three marked points" in out
+
+
 def test_cli_rejects_e_max_below_one(tmp_path, capsys):
     code, out = _run(
         capsys, "fregular-p1", "--coeffs", "1/2,2/3,3/4", "--p", "7", "--e-max", "0"

@@ -135,8 +135,9 @@ def test_chunk_tables_brute_force():
 
 
 def test_binom_chunks_match_lucas_reference():
-    # 4093 is the largest prime with chunk tables, 4099 the first one above
-    # 2^12 (one digit per chunk, digit binomials multiplied).
+    # 61 is the largest prime with digit-sum tables (two digits per chunk);
+    # 4093 and 4099, below and above 2^12, have one digit per chunk and
+    # compare digits.
     rng = random.Random(20261020)
     for p in (2, 3, 61, 4093, 4099):
         base = _chunk_base(p)
