@@ -17,10 +17,10 @@ the recorded chain is a path from the center and B* the recorded surgery of
 Bc along it, anti-nefness of K + B*, the sandwich Bc >= B* >= B, plt-ness
 of (graph, B*) and the different with its anchors, then the witness on
 the recomputed different; `gfr_certificate` returns only certificates that
-pass these checks.  Both read the prime-free verdict from
-`_prime_free_verdict`, which the pair keeps for the last content checked,
-so a germ's certificates at several primes, built or reverified, share one
-prime-free check.
+pass these checks.  `surgery` runs the prime-free checks once on the
+certificate it builds and keeps their verdict beside it, so a germ's
+certificates at several primes, built or reverified on the pair that built
+them, share one prime-free check.
 """
 from __future__ import annotations
 
@@ -230,11 +230,12 @@ def verify_pfreg(
     return anchors, is_globally_F_regular(p1, p, e_max)
 
 
-def surgery(pair: LogPair) -> tuple[GfrCertificate, P1Pair]:
+def surgery(pair: LogPair) -> tuple[GfrCertificate, P1Pair, tuple[str, ...], tuple | None]:
     """The prime-free half of the pipeline, run once per pair and kept on it:
-    the certificate without its prime (fedder, prime and e_max are None) and
-    its different as a `P1Pair`.  A `PipelineError` on the way is kept and
-    re-raised, with a fresh traceback, for every prime."""
+    the certificate without its prime (fedder, prime and e_max are None), its
+    different as a `P1Pair`, and the problems and recomputed different that
+    `_prime_free_problems` finds in that certificate.  A `PipelineError` on
+    the way is kept and re-raised, with a fresh traceback, for every prime."""
     if pair._surgery is None:
         try:
             memo = _prime_free_half(pair)
@@ -284,7 +285,8 @@ def _prime_free_half(pair: LogPair):
         prime=None,
         e_max=None,
     )
-    return cert, p1
+    problems, values = _prime_free_problems(pair, cert)
+    return cert, p1, tuple(problems), values
 
 
 def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
@@ -302,8 +304,7 @@ def gfr_certificate(pair: LogPair, p: int, e_max: int = 4) -> GfrCertificate:
         raise PipelineError(
             "hypotheses", "hypothesis", f"e_max must be a positive integer, got {e_max}"
         )
-    cert, p1 = surgery(pair)
-    problems, values = _prime_free_verdict(pair, cert)
+    cert, p1, problems, values = surgery(pair)
     verdict = is_globally_F_regular(p1, p, e_max)
     if verdict.status == "inconclusive" and not problems:
         raise PipelineError(
@@ -379,33 +380,20 @@ def reverify_certificate(pair: LogPair, cert: GfrCertificate) -> list[str]:
     """Re-check a certificate with graph and monomial primitives only.
 
     Returns a new list of discrepancies (empty means the certificate
-    stands); a tampered field is reported, not raised.  The prime-free half
-    the pair keeps (`surgery`) is never read, but its verdict on equal
-    content is (`_prime_free_verdict`): on the pair that built the
-    certificate no prime-free check runs again.  Then the witness is checked.
+    stands); a tampered field is reported, not raised.  Nothing is built
+    here: on the pair that built a certificate of equal prime-free content
+    the verdict `surgery` kept is read, and any other certificate, or a pair
+    that built none, is checked afresh.  Then the witness is checked.
     """
     mistyped = _type_problems(cert)
     if mistyped:
         return mistyped
-    problems, values = _prime_free_verdict(pair, cert)
-    return [*problems, *_witness_problems(cert, values)]
-
-
-def _prime_free_verdict(pair: LogPair, cert: GfrCertificate) -> tuple[tuple[str, ...], tuple | None]:
-    """`_prime_free_problems` of well-typed content, kept on the pair for the
-    last content checked (`LogPair._verdict`), keyed by every field it reads.
-    `_type_problems` fixes the type of each of them but case, which is only
-    compared, with ==, to strings: a list there always gives a rejection, so
-    an edit in place can never turn that into an accepting hit."""
-    key = (cert.case, cert.level, cert.center, cert.gamma0, cert.gamma_prime,
-           tuple(cert.bc.items()), tuple(cert.bstar.items()), cert.epsilon, cert.diff,
-           cert.diff_anchors)
-    kept = pair._verdict  # read once: another thread may replace it
-    if kept is None or kept[0] != key:
+    kept = pair._surgery
+    if isinstance(kept, tuple) and replace(cert, fedder=None, prime=None, e_max=None) == kept[0]:
+        problems, values = kept[2:]
+    else:
         problems, values = _prime_free_problems(pair, cert)
-        kept = (key, tuple(problems), values)
-        object.__setattr__(pair, "_verdict", kept)
-    return kept[1], kept[2]
+    return [*problems, *_witness_problems(cert, values)]
 
 
 def _prime_free_problems(pair: LogPair, cert: GfrCertificate) -> tuple[list[str], tuple | None]:

@@ -57,6 +57,13 @@ def _coeff(lineno: int, text: str) -> Fraction:
     return q
 
 
+def _int(lineno: int, text: str, message: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(lineno, message)
+
+
 def parse_germ(text: str) -> GermFile:
     curves: list[Vertex] = []
     seen: dict[str, int] = {}
@@ -93,16 +100,12 @@ def parse_germ(text: str) -> GermFile:
                 raise ParseError(lineno, f"curve {cid!r} is missing self=<int>")
             if "exceptional" not in attrs:
                 raise ParseError(lineno, f"curve {cid!r} is missing exceptional=<yes|no>")
-            try:
-                self_int = int(attrs.pop("self"))
-            except ValueError:
-                raise ParseError(lineno, "self-intersection must be an integer")
+            self_int = _int(lineno, attrs.pop("self"), "self-intersection must be an integer")
             exc_text = attrs.pop("exceptional")
             if exc_text not in ("yes", "no"):
                 raise ParseError(lineno, f"exceptional must be yes or no, got {exc_text!r}")
-            if "genus" in attrs:
-                if attrs.pop("genus") != "0":
-                    raise ParseError(lineno, f"curve {cid!r} has genus != 0, unsupported")
+            if "genus" in attrs and _int(lineno, attrs.pop("genus"), "genus must be an integer"):
+                raise ParseError(lineno, f"curve {cid!r} has genus != 0, unsupported")
             c = _coeff(lineno, attrs.pop("coeff")) if "coeff" in attrs else Fraction(0)
             if attrs:
                 raise ParseError(lineno, f"unknown attribute {sorted(attrs)[0]!r}")
@@ -115,10 +118,7 @@ def parse_germ(text: str) -> GermFile:
             u, w = tokens[1], tokens[2]
             if u == w:
                 raise ParseError(lineno, f"self-loop at {u!r}")
-            try:
-                mult = int(tokens[3])
-            except ValueError:
-                raise ParseError(lineno, "multiplicity must be an integer")
+            mult = _int(lineno, tokens[3], "multiplicity must be an integer")
             if mult <= 0:
                 raise ParseError(lineno, "multiplicity must be positive")
             key = (u, w) if u <= w else (w, u)
@@ -148,10 +148,7 @@ def parse_germ(text: str) -> GermFile:
             if len(tokens) < 2:
                 raise ParseError(lineno, "prime needs at least one value")
             for tok in tokens[1:]:
-                try:
-                    p = int(tok)
-                except ValueError:
-                    raise ParseError(lineno, f"prime must be an integer, got {tok!r}")
+                p = _int(lineno, tok, f"prime must be an integer, got {tok!r}")
                 if not is_prime(p):
                     raise ParseError(lineno, f"{p} is not prime")
                 primes.append(p)

@@ -156,13 +156,10 @@ class LogPair:
     # The boundary in integers, as `numerators` gives it, set once below.
     den: int = field(init=False, compare=False, repr=False)
     num: dict[str, int] = field(init=False, compare=False, repr=False)
-    # The prime-free half of the certificate pipeline (`bstar.surgery`), set
-    # once on first use and read by the construction only.
+    # The prime-free half of the certificate pipeline with its verdict
+    # (`bstar.surgery`), set once on first use; `reverify_certificate` reads
+    # only the verdict, for a certificate of equal prime-free content.
     _surgery: object = field(default=None, init=False, compare=False, repr=False)
-    # The prime-free verdict of the last certificate content checked on this
-    # pair, keyed by that content; written only by `bstar._prime_free_verdict`,
-    # which the construction and `reverify_certificate` share.
-    _verdict: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         full, den = {}, 1

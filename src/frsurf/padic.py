@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import gt, lt, sub
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _TABLE_BOUND = 1 << 12
 _DIV_LIMIT = 4000  # bits; builtin divmod of 3.12+ recurses only for divisors above 9,000
 
@@ -33,8 +33,9 @@ _DIV_LIMIT = 4000  # bits; builtin divmod of 3.12+ recurses only for divisors ab
 def is_prime(n: int) -> bool:
     """Deterministic primality check (Miller-Rabin with fixed bases).
 
-    The fixed base set is exact for n < 3.3 * 10^24, far beyond any
-    characteristic used here.
+    Exact for n <= psi_13 = 3317044064679887385961981, far beyond any
+    characteristic used here: the least strong pseudoprime to the bases 2
+    to 41 (Sorenson-Webster, Math. Comp. 86, 2017), which base 43 rejects.
     """
     if n < 2:
         return False

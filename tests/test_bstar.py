@@ -628,13 +628,11 @@ def test_primes_share_the_prime_free_half(monkeypatch):
     assert {"plt", "non_plt", "complement"} <= kinds
 
 
-def test_reverify_reads_nothing_the_pair_keeps(monkeypatch):
+def test_reverify_never_runs_the_prime_free_half(monkeypatch):
     cases = []
     for pair in (family("plt_fork_level6"), family("nonplt_fork")):
         cert = gfr_certificate(pair, 7, e_max=6)
         assert pair._surgery is not None
-        # construction fills `_verdict`, through the check it shares with reverify
-        assert pair._verdict is not None
         payload = certificate_to_payload(cert)
         off_center = min(v for v in cert.bc if v != cert.center)
         for field in ("bc", "bstar"):
@@ -646,7 +644,7 @@ def test_reverify_reads_nothing_the_pair_keeps(monkeypatch):
     expected = [reverify_certificate(pair, cert) for pair, cert in cases]
 
     def unreachable(*args):
-        raise AssertionError("reverify_certificate reads the prime-free half")
+        raise AssertionError("reverify_certificate runs the prime-free half")
 
     monkeypatch.setattr("frsurf.bstar.surgery", unreachable)
     monkeypatch.setattr("frsurf.bstar.minimal_complement", unreachable)
@@ -655,15 +653,14 @@ def test_reverify_reads_nothing_the_pair_keeps(monkeypatch):
 
 
 def test_reverify_memo_still_reports_every_tampering():
-    # each edit follows an accepted check of the same content, so the memo
-    # holds an accepting verdict when the edited certificate arrives
+    # each edit follows an accepted check of the same content, so the kept
+    # verdict accepts the content the certificate had before its edit
     pair = family("plt_fork_level6")
     other = gfr_certificate(pair, 11, e_max=6)
     cert = gfr_certificate(pair, 7, e_max=6)
     for field, value in (("bstar", {**cert.bstar, "A": F(5, 6)}), *_tamperings(cert, other)):
         fresh = gfr_certificate(pair, 7, e_max=6)
         assert reverify_certificate(pair, fresh) == []
-        assert pair._verdict is not None
         if field in ("bc", "bstar") and isinstance(value, dict):
             # the same certificate object, its map edited in place
             getattr(fresh, field).clear()
@@ -685,14 +682,14 @@ def test_reverify_memo_rejects_list_content_and_returns_fresh_lists():
         ("diff_anchors", ((wrong_anchor, value), *rest), wrong_anchor, 1, anchor[1]),
         ("case", wrong_case, wrong_case, 0, cert.case),
     ):
-        # each list follows an accepting check: a miss, rejected, kept in the key
+        # each list follows an accepting check: unequal content, checked afresh
         mutated = dataclasses.replace(cert, **{field: listed})
         assert reverify_certificate(pair, mutated) != [], field
         # set in place to the accepted content, it still reads as a rejection
         inner[index] = right
         assert reverify_certificate(pair, mutated) != [], field
         assert reverify_certificate(pair, cert) == [], field
-    # a hit returns a new list each time, so a caller's edit stays its own
+    # each check returns a new list, so a caller's edit stays its own
     tampered = dataclasses.replace(cert, bstar={**cert.bstar, cert.center: F(1, 2)})
     first = reverify_certificate(pair, tampered)
     second = reverify_certificate(pair, tampered)
@@ -723,6 +720,17 @@ def test_reverify_checks_prime_free_content_once_per_germ(monkeypatch):
         # the construction's check, made before any prime is set, serves every
         # certificate: they differ in their prime and witness only
         assert calls == [None], name
+        calls.clear()
+        # other content is checked afresh each time it arrives
+        tampered = dataclasses.replace(cert, bstar={**cert.bstar, cert.center: F(1, 2)})
+        assert reverify_certificate(pair, tampered) == reverify_certificate(pair, tampered) != []
+        assert calls == [13, 13], name
+        calls.clear()
+        # a pair that built no certificate checks the built one once
+        fresh = parse_germ(render_germ(GermFile(graph=pair.graph, coeff=dict(pair.coeff)))).pair()
+        assert reverify_certificate(fresh, cert) == []
+        assert fresh._surgery is None
+        assert calls == [13], name
         calls.clear()
 
 

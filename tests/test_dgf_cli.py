@@ -82,7 +82,8 @@ def test_parse_errors_carry_line_numbers():
         ("curve E self=-2 exceptional=yes\nmeet E E 1", "self-loop", 2),
         ("curve E self=-2 exceptional=yes\ncurve E self=-1 exceptional=no", "duplicate", 2),
         ("curve E self=-2 exceptional=yes coeff=0.5", "fraction", 1),
-        ("curve E self=-2 exceptional=yes genus=1", "genus", 1),
+        ("curve E self=-2 exceptional=yes genus=1", "genus != 0", 1),
+        ("curve E self=-2 exceptional=yes genus=x", "genus must be an integer", 1),
         ("wobble E", "unknown", 1),
         ("curve E self=-2 exceptional=yes\nmeet E Z 1", "unknown", 2),
         ("prime 9", "not prime", 1),
@@ -101,6 +102,8 @@ def test_parse_errors_carry_line_numbers():
         assert needle in str(err.value)
         assert err.value.line == line, text
         assert str(err.value).startswith(f"line {line}: ")
+    # genus is read as an integer, as self= is
+    assert parse_germ("curve E self=-2 exceptional=yes genus=00").graph.ids == ("E",)
 
 
 def _run(capsys, *argv):

@@ -71,7 +71,7 @@ def test_declared_memos():
 
 def test_declared_state_on_values():
     found = {name.split(".", 1)[1] for name in _declared(_kept_fields)}
-    assert found == {"LogPair._surgery", "LogPair._verdict", "LogPair.den", "LogPair.num"}
+    assert found == {"LogPair._surgery", "LogPair.den", "LogPair.num"}
     paragraph = _memo_paragraph()
     for name in found:
         assert f"`{name}`" in paragraph, name
@@ -111,7 +111,6 @@ def test_each_kept_field_has_one_writer():
                 writers.setdefault(field_name, set()).add(function)
     assert writers == {
         "_surgery": {"bstar.surgery"},
-        "_verdict": {"bstar._prime_free_verdict"},
         "den": {"graphs.__post_init__"},
         "num": {"graphs.__post_init__"},
     }

@@ -65,6 +65,9 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(1009)
     assert not is_prime(1007)  # 19 * 53
+    # the least strong pseudoprimes to the bases 2 to 37 and 2 to 41
+    assert not is_prime(318665857834031151167461)  # 399165290221 * 798330580441
+    assert not is_prime(3317044064679887385961981)  # 1287836182261 * 2575672364521
 
 
 def test_binom_examples():
